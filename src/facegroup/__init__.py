@@ -16,7 +16,7 @@ from .core import (
 )
 from .engine import EpisodeTrace, PolicyConfig, run_episode
 from .learn import ForestHyper, ForestModel, SvmHyper, SvmModel
-from .metrics import BcubedScores, OpResult, bcubed, delta_op, normalized_op, op_cost
+from .metrics import BcubedScores, OpResult, bcubed, normalized_op, op_cost
 from .recommend import RecommenderConfig, Strategy, recommend
 from .train import TrainConfig, irl_train, q_train
 
@@ -43,7 +43,6 @@ __all__ = [
     "SvmModel",
     "TrainConfig",
     "bcubed",
-    "delta_op",
     "ground_truth_action",
     "ground_truth_partition",
     "irl_train",

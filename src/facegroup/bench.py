@@ -13,6 +13,7 @@ datasets, partitions, and traces, and a single JSON document for models.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
@@ -20,22 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
+# recommend and transition are not called here (the episode kernel calls
+# them); perfbench's tracer looks them up on this module, so the imports stay.
+from .core import (  # noqa: F401
     NOISE,
     Action,
     Album,
     CostModel,
     FaceItem,
     Partition,
-    State,
     ground_truth_partition,
     transition,
 )
-from .engine import EpisodeTrace, Policy, PolicyConfig, album_rng, run_episode
+from .engine import EpisodeTrace, Policy, PolicyConfig, album_rng, episode, run_episode
 from .features import AlbumContext
 from .learn import ForestModel, SvmModel
 from .metrics import bcubed, normalized_op
-from .recommend import RecommenderConfig, Strategy, recommend
+from .recommend import Strategy, recommend  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -87,32 +89,10 @@ class SimConfig:
             raise ValueError("profile and noise fractions must sum to at most 1")
 
     def to_dict(self) -> dict:
-        return {
-            "n_albums": self.n_albums,
-            "identities": list(self.identities),
-            "items_per_identity": list(self.items_per_identity),
-            "dim": self.dim,
-            "frontal_spread": self.frontal_spread,
-            "profile_fraction": self.profile_fraction,
-            "profile_pull": self.profile_pull,
-            "profile_spread": self.profile_spread,
-            "noise_fraction": self.noise_fraction,
-            "noise_pull": self.noise_pull,
-            "noise_spread": self.noise_spread,
-            "q_frontal": self.q_frontal,
-            "q_profile": self.q_profile,
-            "q_noise": self.q_noise,
-            "q_jitter": self.q_jitter,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SimConfig":
-        d = dict(d)
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         for key in ("identities", "items_per_identity"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return SimConfig(**d)
+            d[key] = list(d[key])
+        return d
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -186,15 +166,11 @@ def simulate(config: SimConfig) -> list[Album]:
 
 def hc_baseline(album: Album, config: PolicyConfig, ctx: AlbumContext | None = None) -> Partition:
     """Threshold hierarchical clustering: merge every recommended pair."""
-    ctx = ctx or AlbumContext(album)
-    rec_cfg = RecommenderConfig(strategy=Strategy.HIERARCHICAL_NEAREST, tau=config.tau)
-    state = State.initial(len(album))
-    cache: dict = {}
-    while True:
-        candidate = recommend(state, ctx, rec_cfg, config.eta, cache=cache)
-        if candidate is None:
-            return state.partition
-        state = transition(state, candidate, Action.MERGE)
+    config = dataclasses.replace(config, strategy=Strategy.HIERARCHICAL_NEAREST)
+    partition = Partition.from_singletons(len(album))
+    for step in episode(ctx or AlbumContext(album), config, lambda *_: Action.MERGE):
+        partition = step.next_state.partition
+    return partition
 
 
 def _restrict(partition: Partition, keep: frozenset[int]) -> Partition:
@@ -433,7 +409,10 @@ def load_model(path: str) -> tuple[Policy, PolicyConfig]:
             raise SchemaError(f"model file is not valid JSON ({exc})") from None
     if doc.get("schema") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported model schema {doc.get('schema')!r}")
-    config = PolicyConfig.from_dict(doc["policy_config"])
+    try:
+        config = PolicyConfig.from_dict(doc["policy_config"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"model policy_config: {exc}") from None
     kind = doc.get("kind")
     if kind == "svm":
         return SvmModel.from_dict(doc), config
@@ -486,7 +465,8 @@ def load_partitions(albums: list[Album], path: str) -> dict[str, Partition]:
 
 
 def export_trace(traces: list[EpisodeTrace], path: str) -> None:
-    """One JSON record per decision step across all episodes."""
+    """One JSON record per decision step across all episodes. Inference has
+    no long-term reward and executes its own prediction; the keys stay."""
     with open(path, "w") as fh:
         for trace in traces:
             for step in trace.steps:
@@ -497,11 +477,11 @@ def export_trace(traces: list[EpisodeTrace], path: str) -> None:
                             "step": step.step,
                             "candidate": list(step.candidate),
                             "action": step.action.value,
-                            "predicted": step.predicted.value,
+                            "predicted": step.action.value,
                             "phi": [float(v) for v in step.phi],
                             "r_short": step.r_short,
-                            "r_long": step.r_long,
-                            "r_total": step.r_total,
+                            "r_long": 0.0,
+                            "r_total": step.r_short,
                             "elapsed": step.elapsed,
                         },
                         sort_keys=True,

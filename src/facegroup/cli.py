@@ -72,12 +72,10 @@ def _build(cls, section: dict, **overrides):
 
 
 def _policy_config(doc: dict, args) -> PolicyConfig:
-    section = dict(doc.get("policy", {}))
-    if "costs" in section:
-        add, remove, merge = section["costs"]
-        section["costs"] = CostModel(c_add=add, c_remove=remove, c_merge=merge)
-    if "strategy" in section:
-        section["strategy"] = Strategy(section["strategy"])
+    try:
+        config = PolicyConfig.from_dict(doc.get("policy", {}))
+    except (TypeError, ValueError) as exc:
+        raise CliError("schema-mismatch", f"bad policy section: {exc}") from None
     overrides = {}
     if getattr(args, "costs", None):
         overrides["costs"] = _parse_costs(args.costs)
@@ -85,7 +83,7 @@ def _policy_config(doc: dict, args) -> PolicyConfig:
         overrides["tau"] = args.tau
     if getattr(args, "strategy", None):
         overrides["strategy"] = Strategy(args.strategy)
-    return _build(PolicyConfig, section, **overrides)
+    return dataclasses.replace(config, **overrides)
 
 
 def _write_sidecar(path: str, payload: dict) -> None:

@@ -2,9 +2,10 @@
 
 An episode walks a chain of immutable states: a partition of the album's
 items plus the history of group pairs already recommended. Groups are
-addressed by integer ids that are never reused within an episode, and by
-content fingerprints (the sorted member-index tuple) inside the history,
-so a group whose composition changed counts as a new pair partner.
+addressed by integer ids that are never reused within an episode, and a
+group's members never change under its id, so the history keys pairs by
+id: a group whose composition changed has a new id and counts as a new
+pair partner.
 """
 
 from __future__ import annotations
@@ -89,55 +90,24 @@ class Album:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def dim(self) -> int:
-        if not self.items:
-            raise ValueError(f"album {self.album_id} is empty")
-        return self.items[0].embedding.shape[0]
-
-
-Fingerprint = tuple[int, ...]
-
-
-def fingerprint(members: Iterable[int]) -> Fingerprint:
-    """Canonical content id of a group: its sorted member-index tuple."""
-    return tuple(sorted(members))
-
-
-def pair_key(fp_a: Fingerprint, fp_b: Fingerprint) -> tuple[Fingerprint, Fingerprint]:
-    """Order-independent key for a pair of group fingerprints."""
-    return (fp_a, fp_b) if fp_a <= fp_b else (fp_b, fp_a)
-
-
-@dataclass(frozen=True)
-class HistoryEntry:
-    pair: tuple[Fingerprint, Fingerprint]
-    action: Action
-
 
 @dataclass(frozen=True)
 class History:
-    """Set of group pairs already recommended, with the action taken on each."""
+    """Set of group-id pairs already recommended, each stored as (low, high)."""
 
-    entries: tuple[HistoryEntry, ...] = ()
-    _keys: frozenset = field(default=frozenset(), compare=False, repr=False)
+    pairs: frozenset[tuple[int, int]] = frozenset()
 
-    @staticmethod
-    def empty() -> "History":
-        return History()
+    def contains(self, gid_a: int, gid_b: int) -> bool:
+        return (min(gid_a, gid_b), max(gid_a, gid_b)) in self.pairs
 
-    def contains(self, fp_a: Fingerprint, fp_b: Fingerprint) -> bool:
-        return pair_key(fp_a, fp_b) in self._keys
-
-    def with_entry(self, fp_a: Fingerprint, fp_b: Fingerprint, action: Action) -> "History":
-        key = pair_key(fp_a, fp_b)
-        if key in self._keys:
+    def with_pair(self, gid_a: int, gid_b: int) -> "History":
+        key = (min(gid_a, gid_b), max(gid_a, gid_b))
+        if key in self.pairs:
             raise ValueError(f"pair {key} already present in history")
-        entry = HistoryEntry(pair=key, action=action)
-        return History(entries=self.entries + (entry,), _keys=self._keys | {key})
+        return History(pairs=self.pairs | {key})
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -193,9 +163,6 @@ class Partition:
         except KeyError:
             raise ValueError(f"unknown group id {gid}") from None
 
-    def has_group(self, gid: int) -> bool:
-        return gid in self._by_id
-
     def item_indices(self) -> frozenset[int]:
         return frozenset().union(*(m for _, m in self.groups)) if self.groups else frozenset()
 
@@ -234,7 +201,7 @@ class State:
 
     @staticmethod
     def initial(n_items: int) -> "State":
-        return State(partition=Partition.from_singletons(n_items), history=History.empty())
+        return State(partition=Partition.from_singletons(n_items), history=History())
 
 
 def transition(state: State, candidate: tuple[int, int], action: Action) -> State:
@@ -245,11 +212,11 @@ def transition(state: State, candidate: tuple[int, int], action: Action) -> Stat
     under a fresh group id.
     """
     gid_a, gid_b = candidate
-    fp_a = fingerprint(state.partition.members(gid_a))
-    fp_b = fingerprint(state.partition.members(gid_b))
+    state.partition.members(gid_a)  # rejects unknown ids
+    state.partition.members(gid_b)
     if gid_a == gid_b:
         raise ValueError("candidate pair must name two distinct groups")
-    history = state.history.with_entry(fp_a, fp_b, action)
+    history = state.history.with_pair(gid_a, gid_b)
     if action is Action.MERGE:
         partition, _ = state.partition.merged(gid_a, gid_b)
     else:

@@ -1,22 +1,27 @@
-"""Reward computation, action selection, and the episode runner.
+"""The episode kernel, rewards and action selection.
 
 An episode starts from the all-singleton partition and repeatedly asks the
-recommender for a candidate pair, extracts its features, lets the policy
-act, and applies the transition until no eligible pair remains. In
-teacher-forced mode the expert (ground-truth) action is executed instead of
-the agent's, and the agent's prediction is recorded for mistake mining; in
-inference mode no label is read anywhere.
+recommender for a candidate pair, extracts its features, lets an actor
+decide, and applies the transition until no eligible pair remains.
+``episode`` is the only place that loop is written: inference
+(``run_episode``, which reads no label), the expert path and epsilon-greedy
+play (``train``) and the threshold baseline (``bench``) are actors on it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import (
+# ground_truth_action is not called here; perfbench's tracer looks it up
+# on this module, so the import stays.
+from .core import (  # noqa: F401
     Action,
     Album,
     CostModel,
@@ -60,25 +65,23 @@ class PolicyConfig:
         return RecommenderConfig(strategy=self.strategy, tau=self.tau)
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "eta": self.eta,
-            "k_steps": self.k_steps,
-            "epsilon0": self.epsilon0,
-            "epsilon_decay_episodes": self.epsilon_decay_episodes,
-            "costs": [self.costs.c_add, self.costs.c_remove, self.costs.c_merge],
-            "tau": self.tau,
-            "strategy": self.strategy.value,
-            "use_quality": self.use_quality,
-        }
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        d["costs"] = [self.costs.c_add, self.costs.c_remove, self.costs.c_merge]
+        d["strategy"] = self.strategy.value
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "PolicyConfig":
+        """Inverse of ``to_dict``, defaults for missing keys. Unknown keys, a
+        ``costs`` list other than [add, remove, merge] and bad values raise ValueError."""
         d = dict(d)
+        unknown = set(d) - {f.name for f in dataclasses.fields(PolicyConfig)}
+        if unknown:
+            raise ValueError(f"unknown PolicyConfig keys: {sorted(unknown)}")
         if "costs" in d:
-            add, remove, merge = d["costs"]
-            d["costs"] = CostModel(c_add=add, c_remove=remove, c_merge=merge)
+            if len(d["costs"]) != 3:
+                raise ValueError(f"costs must be [add, remove, merge], got {d['costs']!r}")
+            d["costs"] = CostModel(*d["costs"])
         if "strategy" in d:
             d["strategy"] = Strategy(d["strategy"])
         return PolicyConfig(**d)
@@ -97,15 +100,9 @@ def reward_total(r_short: float, r_long: float, beta: float) -> float:
     return r_short + beta * r_long
 
 
-def q_value(model: ForestModel, phi: np.ndarray, action: Action) -> float:
-    """Action value of the pair described by ``phi``; the action is appended
-    to the feature vector as a +/-1 flag."""
-    x = np.concatenate([phi, [action_flag(action)]])
-    return model.predict(x)
-
-
 def q_values(model: ForestModel, phi: np.ndarray) -> tuple[float, float]:
-    """(merge, not-merge) values in one batched prediction."""
+    """(merge, not-merge) values in one batched prediction; the action is
+    appended to the feature vector as a +/-1 flag."""
     X = np.stack([np.concatenate([phi, [1.0]]), np.concatenate([phi, [-1.0]])])
     out = model.predict_many(X)
     return float(out[0]), float(out[1])
@@ -137,16 +134,66 @@ def greedy_action(policy: Policy, phi: np.ndarray) -> Action:
     return choose_action(policy, phi, epsilon=0.0)
 
 
+@dataclass(frozen=True)
+class Step:
+    """One decision of an episode: the transition (state, action, next_state)."""
+
+    state: State  # the state the decision was taken in
+    candidate: tuple[int, int]
+    phi: np.ndarray
+    action: Action
+    next_state: State
+    r_long: float  # op-cost decrease over the last k_steps transitions; 0 without gt
+    elapsed: float  # seconds from the recommend call to the end of the transition
+
+
+def episode(
+    ctx: AlbumContext,
+    config: PolicyConfig,
+    act: Callable[[State, tuple[int, int], np.ndarray], Action],
+    gt: Partition | None = None,
+    rng: np.random.Generator | None = None,
+) -> Iterator[Step]:
+    """Play one episode on the album of ``ctx``, yielding every decision;
+    ``act(state, candidate, phi)`` decides each recommended pair.
+
+    With a ground-truth partition each step carries the long-term reward:
+    op_cost(partition k_steps transitions back) - op_cost(now), with the
+    window cut at the initial partition. Without one no label is read.
+    ``rng`` feeds the RANDOM recommender; an actor that draws from the same
+    generator, as epsilon-greedy play does, draws after its step's recommend.
+    """
+    rec_cfg = config.recommender()
+    state = State.initial(len(ctx))
+    cache: dict = {}
+    if gt is not None:
+        recent_ops = deque(
+            [op_cost(state.partition, gt, config.costs).total_cost],
+            maxlen=config.k_steps + 1,
+        )
+    while True:
+        t0 = time.perf_counter()
+        candidate = recommend(state, ctx, rec_cfg, config.eta, rng=rng, cache=cache)
+        if candidate is None:
+            return
+        phi = extract_features(state, candidate, ctx, config.eta, config.use_quality)
+        action = act(state, candidate, phi)
+        next_state = transition(state, candidate, action)
+        r_long = 0.0
+        if gt is not None:
+            recent_ops.append(op_cost(next_state.partition, gt, config.costs).total_cost)
+            r_long = recent_ops[0] - recent_ops[-1]
+        yield Step(state, candidate, phi, action, next_state, r_long, time.perf_counter() - t0)
+        state = next_state
+
+
 @dataclass
 class StepRecord:
     step: int
     candidate: tuple[int, int]
-    action: Action  # executed action
-    predicted: Action  # agent's own choice (= action outside teacher forcing)
+    action: Action
     phi: np.ndarray
-    r_short: float
-    r_long: float
-    r_total: float
+    r_short: float  # SVM margin of the action; 0 for a forest policy
     elapsed: float
 
 
@@ -155,10 +202,6 @@ class EpisodeTrace:
     album_id: str
     steps: list[StepRecord]
     final_partition: Partition
-
-    @property
-    def n_mistakes(self) -> int:
-        return sum(1 for s in self.steps if s.predicted is not s.action)
 
 
 def album_rng(seed: int, album_id: str) -> np.random.Generator:
@@ -172,64 +215,30 @@ def run_episode(
     album: Album,
     policy: Policy,
     config: PolicyConfig,
-    gt: Partition | None = None,
-    teacher_forced: bool = False,
     rng: np.random.Generator | None = None,
     ctx: AlbumContext | None = None,
 ) -> EpisodeTrace:
-    """Group one album, returning the per-step trace and final partition.
-
-    Inference mode (``teacher_forced=False``) must not receive a ground
-    truth; rewards beyond the short-term margin are only defined while
-    training. Teacher forcing executes the expert action at every step.
-    """
-    if len(album) == 0:
-        raise ValueError(f"album {album.album_id} is empty")
-    if teacher_forced and gt is None:
-        raise ValueError("teacher-forced mode requires a ground-truth partition")
-    if not teacher_forced and gt is not None:
-        raise ValueError("inference mode forbids a ground-truth partition")
-
-    ctx = ctx or AlbumContext(album)
-    rec_cfg = config.recommender()
-    state = State.initial(len(album))
-    cache: dict = {}
+    """Group one album with the policy's greedy actions, returning the
+    per-step trace and the final partition. No label is read."""
     steps: list[StepRecord] = []
-    op_now = op_cost(state.partition, gt, config.costs).total_cost if gt is not None else 0.0
-    recent_ops: list[float] = [op_now]
+    partition = Partition.from_singletons(len(album))
 
-    while True:
-        candidate = recommend(state, ctx, rec_cfg, config.eta, rng=rng, cache=cache)
-        if candidate is None:
-            break
-        t0 = time.perf_counter()
-        phi = extract_features(state, candidate, ctx, config.eta, config.use_quality)
-        predicted = greedy_action(policy, phi)
-        if teacher_forced:
-            executed = ground_truth_action(state, candidate, gt, config.costs)
-        else:
-            executed = predicted
-        r_short = reward_short(policy, phi, executed) if isinstance(policy, SvmModel) else 0.0
-        state = transition(state, candidate, executed)
-        r_long = 0.0
-        if gt is not None:
-            op_now = op_cost(state.partition, gt, config.costs).total_cost
-            recent_ops.append(op_now)
-            back = min(config.k_steps, len(recent_ops) - 1)
-            r_long = recent_ops[-1 - back] - recent_ops[-1]
-            if len(recent_ops) > config.k_steps + 1:
-                recent_ops.pop(0)
+    def act(state, candidate, phi):
+        return greedy_action(policy, phi)
+
+    for step in episode(ctx or AlbumContext(album), config, act, rng=rng):
+        r_short = 0.0
+        if isinstance(policy, SvmModel):
+            r_short = reward_short(policy, step.phi, step.action)
         steps.append(
             StepRecord(
-                step=state.step - 1,
-                candidate=candidate,
-                action=executed,
-                predicted=predicted,
-                phi=phi,
+                step=step.state.step,
+                candidate=step.candidate,
+                action=step.action,
+                phi=step.phi,
                 r_short=r_short,
-                r_long=r_long,
-                r_total=reward_total(r_short, r_long, config.beta),
-                elapsed=time.perf_counter() - t0,
+                elapsed=step.elapsed,
             )
         )
-    return EpisodeTrace(album_id=album.album_id, steps=steps, final_partition=state.partition)
+        partition = step.next_state.partition
+    return EpisodeTrace(album_id=album.album_id, steps=steps, final_partition=partition)

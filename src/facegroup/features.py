@@ -26,15 +26,6 @@ def feature_dim(eta: int) -> int:
     return 4 * eta + 2
 
 
-def angular_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """arccos of the dot product of two unit vectors, scaled to [0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return math.acos(min(1.0, max(-1.0, float(x @ y)))) / math.pi
-
-
 def distance_matrix(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """Pairwise angular distances between rows of unit-norm matrices."""
     Y = X if Y is None else Y
@@ -42,46 +33,11 @@ def distance_matrix(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     return np.arccos(gram) / math.pi
 
 
-def median_distance(x: np.ndarray, group: np.ndarray) -> float:
-    """Median angular distance from one embedding to every member of a group."""
-    group = np.atleast_2d(np.asarray(group, dtype=np.float64))
-    if group.shape[0] == 0:
-        raise ValueError("group must be non-empty")
-    if group.shape[1] != np.asarray(x).shape[0]:
-        raise ValueError("dimension mismatch between item and group")
-    dists = np.arccos(np.clip(group @ np.asarray(x, dtype=np.float64), -1.0, 1.0)) / math.pi
-    return float(np.median(dists))
-
-
-def _directed_block(med: np.ndarray, eta: int) -> np.ndarray:
-    """eta smallest per-member medians, ascending, padded with the largest one."""
-    med = np.sort(med)
-    if med.shape[0] >= eta:
-        return med[:eta]
-    return np.concatenate([med, np.full(eta - med.shape[0], med[-1])])
-
-
-def similarity_block(group_a: np.ndarray, group_b: np.ndarray, eta: int) -> np.ndarray:
-    """Both directed distance blocks (A->B then B->A), 2*eta values."""
-    a = np.atleast_2d(np.asarray(group_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(group_b, dtype=np.float64))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("both groups must be non-empty")
-    D = distance_matrix(a, b)
-    block_ab = _directed_block(np.median(D, axis=1), eta)
-    block_ba = _directed_block(np.median(D, axis=0), eta)
-    return np.concatenate([block_ab, block_ba])
-
-
-def consistency(group: np.ndarray) -> float:
-    """Median pairwise angular distance within a group; 0 below two members."""
-    g = np.atleast_2d(np.asarray(group, dtype=np.float64))
-    m = g.shape[0]
-    if m < 2:
-        return 0.0
-    D = distance_matrix(g)
-    iu = np.triu_indices(m, k=1)
-    return float(np.median(D[iu]))
+def _first_eta(values: np.ndarray, eta: int) -> np.ndarray:
+    """The first eta values, padded by repeating the last one."""
+    if values.shape[0] >= eta:
+        return values[:eta]
+    return np.concatenate([values, np.full(eta - values.shape[0], values[-1])])
 
 
 def quality_block(qualities: np.ndarray, eta: int) -> np.ndarray:
@@ -89,9 +45,7 @@ def quality_block(qualities: np.ndarray, eta: int) -> np.ndarray:
     q = np.sort(np.asarray(qualities, dtype=np.float64))[::-1]
     if q.shape[0] == 0:
         raise ValueError("group must be non-empty")
-    if q.shape[0] >= eta:
-        return q[:eta]
-    return np.concatenate([q, np.full(eta - q.shape[0], q[-1])])
+    return _first_eta(q, eta)
 
 
 class AlbumContext:
@@ -112,8 +66,8 @@ class AlbumContext:
 
 def _blocks_from_cached(ctx: AlbumContext, idx_a: list[int], idx_b: list[int], eta: int):
     sub = ctx.D[np.ix_(idx_a, idx_b)]
-    block_ab = _directed_block(np.median(sub, axis=1), eta)
-    block_ba = _directed_block(np.median(sub, axis=0), eta)
+    block_ab = _first_eta(np.sort(np.median(sub, axis=1)), eta)
+    block_ba = _first_eta(np.sort(np.median(sub, axis=0)), eta)
     return block_ab, block_ba
 
 

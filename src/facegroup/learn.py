@@ -233,11 +233,6 @@ def _smo_step(i, j, alpha, y, C, E, krow, eps) -> bool:
     return True
 
 
-def svm_decision(model: SvmModel, x: np.ndarray) -> float:
-    """Signed margin; positive means the merge class."""
-    return model.decision(x)
-
-
 def svm_accuracy(model: SvmModel, X: np.ndarray, y: np.ndarray) -> float:
     pred = np.sign(model.decision_many(X))
     pred[pred == 0] = -1.0
@@ -460,7 +455,3 @@ def forest_fit(X: np.ndarray, y: np.ndarray, hyper: ForestHyper = ForestHyper())
         _grow_tree(X, y, hyper, np.random.Generator(np.random.PCG64(s))) for s in seeds
     ]
     return ForestModel(trees=trees, dim=X.shape[1], hyper=hyper)
-
-
-def forest_predict(model: ForestModel, x: np.ndarray) -> float:
-    return model.predict(x)

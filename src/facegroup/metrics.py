@@ -158,28 +158,6 @@ def op_cost_oracle(
     raise RuntimeError("goal partition unreachable")  # cannot happen
 
 
-def delta_op(
-    partitions: list[Partition],
-    g: Partition,
-    k_steps: int,
-    costs: CostModel,
-) -> float:
-    """Operation-cost decrease over the last ``k_steps`` transitions.
-
-    Positive when the recent steps brought the partition closer to the
-    target. Requires at least k_steps + 1 recorded partitions.
-    """
-    if k_steps < 1:
-        raise ValueError("k_steps must be >= 1")
-    if len(partitions) < k_steps + 1:
-        raise ValueError(
-            f"need at least {k_steps + 1} recorded partitions, got {len(partitions)}"
-        )
-    before = op_cost(partitions[-1 - k_steps], g, costs).total_cost
-    after = op_cost(partitions[-1], g, costs).total_cost
-    return before - after
-
-
 def bcubed(pred: Partition, gt: Partition) -> BcubedScores:
     """Per-item cluster purity and coverage, averaged over items.
 

@@ -1,7 +1,7 @@
 """Candidate-pair proposal strategies.
 
 A recommender turns the O(N^2) pair space into one candidate per step. A
-pair is eligible when its fingerprint pair has not been recommended before
+pair is eligible when its group-id pair has not been recommended before
 and its inter-group distance is at or below the threshold ``tau``; when no
 eligible pair remains the episode ends.
 """
@@ -13,21 +13,19 @@ from enum import Enum
 
 import numpy as np
 
-from .core import State, fingerprint, pair_key
+from .core import State
 from .features import AlbumContext, pair_distance
 
 
 class Strategy(Enum):
     HIERARCHICAL_NEAREST = "hc"
     RANDOM = "random"
-    EXHAUSTIVE = "exhaustive"
 
 
 @dataclass(frozen=True)
 class RecommenderConfig:
     strategy: Strategy = Strategy.HIERARCHICAL_NEAREST
     tau: float = 0.45
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
@@ -44,25 +42,26 @@ def eligible_pairs(
     """All candidate pairs passing the history and distance filters,
     as (gid_a, gid_b, distance) in ascending (gid_a, gid_b) order.
 
-    ``cache`` memoizes pair distances by fingerprint pair; distances are
-    content-addressed, so a shared cache is safe across steps and albums
-    never share one.
+    ``cache`` memoizes pair distances by group-id pair. A group's members
+    never change under its id, so a cache shared across the steps of one
+    episode stays valid; episodes never share one.
     """
     if cache is None:
         cache = {}
     part = state.partition
+    seen = state.history.pairs
     gids = sorted(part.group_ids())
-    members = {gid: sorted(part.members(gid)) for gid in gids}
-    fps = {gid: fingerprint(part.members(gid)) for gid in gids}
     out: list[tuple[int, int, float]] = []
     for i, gid_a in enumerate(gids):
         for gid_b in gids[i + 1 :]:
-            key = pair_key(fps[gid_a], fps[gid_b])
-            if state.history.contains(fps[gid_a], fps[gid_b]):
+            key = (gid_a, gid_b)
+            if key in seen:
                 continue
             dist = cache.get(key)
             if dist is None:
-                dist = pair_distance(ctx, members[gid_a], members[gid_b], eta)
+                dist = pair_distance(
+                    ctx, sorted(part.members(gid_a)), sorted(part.members(gid_b)), eta
+                )
                 cache[key] = dist
             if dist <= config.tau:
                 out.append((gid_a, gid_b, dist))
@@ -81,18 +80,15 @@ def recommend(
 
     HIERARCHICAL_NEAREST picks the closest eligible pair (ties to the
     smallest group-id pair); RANDOM picks uniformly among eligible pairs
-    using the caller's generator; EXHAUSTIVE walks pairs in group-id order.
+    using the caller's generator.
     """
     pairs = eligible_pairs(state, ctx, config, eta, cache)
     if not pairs:
         return None
-    if config.strategy is Strategy.HIERARCHICAL_NEAREST:
-        gid_a, gid_b, _ = min(pairs, key=lambda p: (p[2], p[0], p[1]))
-        return (gid_a, gid_b)
     if config.strategy is Strategy.RANDOM:
         if rng is None:
             raise ValueError("random strategy requires a seeded generator")
         gid_a, gid_b, _ = pairs[int(rng.integers(len(pairs)))]
-        return (gid_a, gid_b)
-    gid_a, gid_b, _ = pairs[0]
+    else:
+        gid_a, gid_b, _ = min(pairs, key=lambda p: (p[2], p[0], p[1]))
     return (gid_a, gid_b)

@@ -19,17 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
+# The episode kernel calls recommend, extract_features, transition and op_cost;
+# perfbench's tracer still looks them up on this module, so the imports stay.
+from .core import (  # noqa: F401
     Action,
     Album,
     Partition,
-    State,
     ground_truth_action,
     ground_truth_partition,
     transition,
 )
-from .engine import PolicyConfig, action_flag, album_rng, choose_action
-from .features import AlbumContext, extract_features, feature_dim
+from .engine import (
+    PolicyConfig,
+    action_flag,
+    album_rng,
+    choose_action,
+    episode,
+    reward_short,
+    reward_total,
+)
+from .features import AlbumContext, extract_features, feature_dim  # noqa: F401
 from .learn import (
     ForestHyper,
     ForestModel,
@@ -41,8 +50,8 @@ from .learn import (
     svm_accuracy,
     svm_fit,
 )
-from .metrics import op_cost
-from .recommend import recommend
+from .metrics import op_cost  # noqa: F401
+from .recommend import recommend  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -137,21 +146,15 @@ def expert_trajectory(
     truth and the recommender, never on the learner, so this sequence can
     be computed once and re-scored cheaply every epoch.
     """
-    ctx = ctx or AlbumContext(album)
-    rec_cfg = config.recommender()
-    state = State.initial(len(album))
-    cache: dict = {}
+
+    def expert(state, candidate, phi):
+        return ground_truth_action(state, candidate, gt, config.costs)
+
     phis: list[np.ndarray] = []
     labels: list[float] = []
-    while True:
-        candidate = recommend(state, ctx, rec_cfg, config.eta, rng=rng, cache=cache)
-        if candidate is None:
-            break
-        phi = extract_features(state, candidate, ctx, config.eta, config.use_quality)
-        expert = ground_truth_action(state, candidate, gt, config.costs)
-        phis.append(phi)
-        labels.append(action_flag(expert))
-        state = transition(state, candidate, expert)
+    for step in episode(ctx or AlbumContext(album), config, expert, rng=rng):
+        phis.append(step.phi)
+        labels.append(action_flag(step.action))
     dim = feature_dim(config.eta)
     if not phis:
         return np.empty((0, dim)), np.empty(0)
@@ -316,66 +319,40 @@ def q_train(
 
     buffer = ExperienceBuffer(train_cfg.buffer_capacity)
     episodes = config.epsilon_decay_episodes
-    for episode in range(episodes):
-        album, gt = pairs[episode % len(pairs)]
+    for i in range(episodes):
+        album, gt = pairs[i % len(pairs)]
         ctx = contexts[album.album_id]
-        rng = album_rng(train_cfg.seed + 1 + episode, album.album_id)
-        epsilon = _epsilon_at(episode, config)
-        _play_episode(album, gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1)
-        if (episode + 1) % train_cfg.refit_every == 0 or episode == episodes - 1:
+        rng = album_rng(train_cfg.seed + 1 + i, album.album_id)
+        epsilon = _epsilon_at(i, config)
+        _play_episode(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1)
+        if (i + 1) % train_cfg.refit_every == 0 or i == episodes - 1:
             forest = _refit(forest, buffer, config, forest_hyper)
         logger.info(
             "q episode=%d album=%s epsilon=%.3f experiences=%d",
-            episode, album.album_id, epsilon, len(buffer),
+            i, album.album_id, epsilon, len(buffer),
         )
     return QTrainResult(model=forest, episodes_run=episodes, n_experiences=len(buffer))
 
 
-def _play_episode(
-    album, gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1
-) -> None:
-    rec_cfg = config.recommender()
-    state = State.initial(len(album))
-    cache: dict = {}
-    recent_ops = [op_cost(state.partition, gt, config.costs).total_cost]
+def _play_episode(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1) -> None:
+    """One epsilon-greedy episode; experience i takes step i+1's features
+    as its successor, and the last one is terminal."""
 
-    candidate = recommend(state, ctx, rec_cfg, config.eta, rng=rng, cache=cache)
-    phi = (
-        extract_features(state, candidate, ctx, config.eta, config.use_quality)
-        if candidate
-        else None
-    )
-    while candidate is not None:
-        action = choose_action(forest, phi, epsilon, rng)
+    def act(state, candidate, phi):
+        return choose_action(forest, phi, epsilon, rng)
+
+    pending = None  # (phi, action, reward) of the step awaiting its successor
+    for step in episode(ctx, config, act, gt=gt, rng=rng):
+        if pending is not None:
+            buffer.add(Experience(*pending, next_phi=step.phi, terminal=False))
         if use_pm1:
-            expert = ground_truth_action(state, candidate, gt, config.costs)
-            r_short = 1.0 if action is expert else -1.0
+            expert = ground_truth_action(step.state, step.candidate, gt, config.costs)
+            r_short = 1.0 if step.action is expert else -1.0
         else:
-            r_short = action_flag(action) * svm.decision(phi)
-        state = transition(state, candidate, action)
-        recent_ops.append(op_cost(state.partition, gt, config.costs).total_cost)
-        back = min(config.k_steps, len(recent_ops) - 1)
-        r_long = recent_ops[-1 - back] - recent_ops[-1]
-        if len(recent_ops) > config.k_steps + 1:
-            recent_ops.pop(0)
-        reward = r_short + config.beta * r_long
-
-        candidate = recommend(state, ctx, rec_cfg, config.eta, rng=rng, cache=cache)
-        next_phi = (
-            extract_features(state, candidate, ctx, config.eta, config.use_quality)
-            if candidate
-            else None
-        )
-        buffer.add(
-            Experience(
-                phi=phi,
-                action=action,
-                reward=reward,
-                next_phi=next_phi,
-                terminal=candidate is None,
-            )
-        )
-        phi = next_phi
+            r_short = reward_short(svm, step.phi, step.action)
+        pending = (step.phi, step.action, reward_total(r_short, step.r_long, config.beta))
+    if pending is not None:
+        buffer.add(Experience(*pending, next_phi=None, terminal=True))
 
 
 def _refit(

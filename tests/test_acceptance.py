@@ -354,48 +354,51 @@ def test_criterion_09_quality_feature_ablation():
     assert scores[False] < scores[True]
 
 
+# The criterion-10 pipeline; tests/test_golden.py also pins its artifacts.
+PIPELINE_CONFIG = {
+    "sim": {
+        "n_albums": 4,
+        "identities": [3, 5],
+        "items_per_identity": [5, 7],
+        "profile_fraction": 0.1,
+        "noise_fraction": 0.15,
+        "seed": 11,
+    },
+    "policy": {"epsilon_decay_episodes": 8},
+    "svm": {"c_reg": 10.0, "gamma": 3.0},
+    "forest": {"n_trees": 12, "max_depth": 10},
+    "train": {"refit_every": 4},
+}
+PIPELINE_ARTIFACTS = ("data.jsonl", "model.json", "model.json.svm.json", "parts.jsonl",
+                      "report.json")
+
+
+def run_pipeline(cfg_path, out_dir):
+    """simulate -> train -> group -> eval through the CLI; artifact bytes by name."""
+    out_dir.mkdir()
+    data = str(out_dir / "data.jsonl")
+    model = str(out_dir / "model.json")
+    parts = str(out_dir / "parts.jsonl")
+    rep = str(out_dir / "report.json")
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", data]) == 0
+    assert cli_main(
+        ["train", "--data", data, "--out-model", model,
+         "--stage", "both", "--config", str(cfg_path), "--seed", "3"]
+    ) == 0
+    assert cli_main(
+        ["group", "--data", data, "--model", model, "--out-partitions", parts]
+    ) == 0
+    assert cli_main(["eval", "--data", data, "--partitions", parts,
+                     "--report", rep, "--config", str(cfg_path)]) == 0
+    return {name: (out_dir / name).read_bytes() for name in PIPELINE_ARTIFACTS}
+
+
 def test_criterion_10_pipeline_determinism(tmp_path):
-    config = {
-        "sim": {
-            "n_albums": 4,
-            "identities": [3, 5],
-            "items_per_identity": [5, 7],
-            "profile_fraction": 0.1,
-            "noise_fraction": 0.15,
-            "seed": 11,
-        },
-        "policy": {"epsilon_decay_episodes": 8},
-        "svm": {"c_reg": 10.0, "gamma": 3.0},
-        "forest": {"n_trees": 12, "max_depth": 10},
-        "train": {"refit_every": 4},
-    }
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_text(json.dumps(PIPELINE_CONFIG))
 
-    def run_pipeline(out_dir):
-        out_dir.mkdir()
-        data = str(out_dir / "data.jsonl")
-        model = str(out_dir / "model.json")
-        parts = str(out_dir / "parts.jsonl")
-        rep = str(out_dir / "report.json")
-        assert cli_main(["simulate", "--config", str(cfg_path), "--out", data]) == 0
-        assert cli_main(
-            ["train", "--data", data, "--out-model", model,
-             "--stage", "both", "--config", str(cfg_path), "--seed", "3"]
-        ) == 0
-        assert cli_main(
-            ["group", "--data", data, "--model", model, "--out-partitions", parts]
-        ) == 0
-        assert cli_main(["eval", "--data", data, "--partitions", parts,
-                         "--report", rep, "--config", str(cfg_path)]) == 0
-        return {
-            name: (out_dir / name).read_bytes()
-            for name in ("data.jsonl", "model.json", "model.json.svm.json",
-                         "parts.jsonl", "report.json")
-        }
-
-    first = run_pipeline(tmp_path / "run1")
-    second = run_pipeline(tmp_path / "run2")
+    first = run_pipeline(cfg_path, tmp_path / "run1")
+    second = run_pipeline(cfg_path, tmp_path / "run2")
     same = {name: first[name] == second[name] for name in first}
     ok = all(same.values())
     report(10, "pipeline is byte-identical across runs", ok, ", ".join(

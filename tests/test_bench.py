@@ -99,7 +99,8 @@ class TestEvaluate:
         base = simulate(SimConfig(n_albums=1, seed=6))[0]
         items = list(base.items)
         rng = np.random.Generator(np.random.PCG64(0))
-        extra = make_item("mystery", rng.normal(size=base.dim), quality=0.5, label=None)
+        dim = base.items[0].embedding.shape[0]
+        extra = make_item("mystery", rng.normal(size=dim), quality=0.5, label=None)
         album = Album(album_id=base.album_id, items=tuple(items) + (extra,))
         labeled_only = Album(album_id=base.album_id, items=tuple(items))
         config = PolicyConfig()

@@ -112,3 +112,25 @@ def test_eval_requires_exactly_one_source(tmp_path, small_config, capsys):
     code = run(["eval", "--data", data, "--report", str(tmp_path / "r.json")])
     assert code != 0
     assert capsys.readouterr().err.startswith("error:invalid-argument:")
+
+
+@pytest.mark.parametrize("policy_config", [{"bogus": 1}, {"costs": [1, 6]}])
+def test_bad_policy_config_in_model_is_schema_mismatch(tmp_path, small_config, capsys,
+                                                       policy_config):
+    from facegroup.bench import save_model
+    from facegroup.engine import PolicyConfig
+    from facegroup.learn import constant_svm
+
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", small_config, "--out", data])
+    model = tmp_path / "m.json"
+    save_model(constant_svm(22, 0.5), PolicyConfig(), str(model))
+    doc = json.loads(model.read_text())
+    doc["policy_config"].update(policy_config)
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(["group", "--data", data, "--model", str(model),
+                "--out-partitions", str(tmp_path / "p.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:schema-mismatch:")

@@ -12,7 +12,6 @@ from facegroup.core import (
     History,
     Partition,
     State,
-    fingerprint,
     ground_truth_action,
     ground_truth_partition,
     transition,
@@ -74,7 +73,7 @@ class TestPartition:
         assert merged.n_groups == part.n_groups - 1
         assert new_gid == 3
         assert merged.members(3) == frozenset({0, 1})
-        assert not merged.has_group(0)
+        assert 0 not in merged.group_ids()
         # original untouched
         assert part.n_groups == 3
 
@@ -94,14 +93,14 @@ class TestPartition:
 
 class TestHistory:
     def test_pair_symmetry(self):
-        h = History.empty().with_entry((0,), (1,), Action.MERGE)
-        assert h.contains((0,), (1,))
-        assert h.contains((1,), (0,))
+        h = History().with_pair(0, 1)
+        assert h.contains(0, 1)
+        assert h.contains(1, 0)
 
     def test_duplicate_entry_rejected(self):
-        h = History.empty().with_entry((0,), (1,), Action.MERGE)
+        h = History().with_pair(0, 1)
         with pytest.raises(ValueError):
-            h.with_entry((1,), (0,), Action.NOT_MERGE)
+            h.with_pair(1, 0)
 
 
 class TestTransition:
@@ -144,8 +143,8 @@ class TestTransition:
             transition(state, (0, 1), Action.MERGE)
 
     def test_repeat_allowed_after_composition_changes(self):
-        # declining (a, b) then merging b elsewhere creates a new fingerprint,
-        # so a can be recommended against the new group
+        # declining (a, b) then merging b elsewhere creates a group with a
+        # new id, so a can be recommended against it
         state = State.initial(3)
         state = transition(state, (0, 1), Action.NOT_MERGE)
         state = transition(state, (1, 2), Action.MERGE)
@@ -175,17 +174,48 @@ def test_items_conserved_across_transitions(n, merges):
         cand = (gids[a % len(gids)], gids[b % len(gids)])
         if cand[0] == cand[1]:
             continue
-        fp = (
-            fingerprint(state.partition.members(cand[0])),
-            fingerprint(state.partition.members(cand[1])),
-        )
-        if state.history.contains(*fp):
+        if state.history.contains(*cand):
             continue
         state = transition(state, cand, Action.MERGE)
         new_ids = set(state.partition.group_ids()) - seen_ids
         assert all(g not in seen_ids for g in new_ids)  # ids never reused
         seen_ids |= new_ids
         assert state.partition.item_indices() == expected
+
+
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    moves=st.lists(
+        st.tuples(st.integers(0, 100), st.integers(0, 100), st.booleans()), max_size=20
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_history_id_key_matches_member_sets(n, moves):
+    """An id pair is in the history exactly when the pair of member sets it
+    names was recommended before: ids are never reused and a group's
+    members never change under its id."""
+    state = State.initial(n)
+    recommended: set[frozenset[frozenset[int]]] = set()  # reference, keyed by content
+
+    def by_content(a, b):
+        return frozenset({state.partition.members(a), state.partition.members(b)})
+
+    for a, b, merge in moves:
+        gids = sorted(state.partition.group_ids())
+        if len(gids) < 2:
+            break
+        for i, x in enumerate(gids):
+            for y in gids[i + 1 :]:
+                assert state.history.contains(x, y) == (by_content(x, y) in recommended)
+        cand = (gids[a % len(gids)], gids[b % len(gids)])
+        if cand[0] == cand[1]:
+            continue
+        if by_content(*cand) in recommended:
+            with pytest.raises(ValueError, match="already"):
+                transition(state, cand, Action.MERGE)
+            continue
+        recommended.add(by_content(*cand))
+        state = transition(state, cand, Action.MERGE if merge else Action.NOT_MERGE)
 
 
 class TestGroundTruthPartition:

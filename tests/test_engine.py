@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 
-from facegroup.core import Action, Album, CostModel, ground_truth_partition
+from facegroup.core import (
+    Action,
+    Album,
+    CostModel,
+    ground_truth_action,
+    ground_truth_partition,
+)
 from facegroup.engine import (
     PolicyConfig,
     action_flag,
     choose_action,
-    q_value,
+    episode,
     q_values,
     reward_short,
     reward_total,
     run_episode,
 )
+from facegroup.features import AlbumContext
 from facegroup.learn import ForestHyper, constant_svm, forest_fit
 from facegroup.recommend import Strategy
 
@@ -96,8 +103,8 @@ class TestChooseAction:
         forest = self.make_forest()
         phi = np.array([0.7, 0.3])
         qm, qn = q_values(forest, phi)
-        assert q_value(forest, phi, Action.MERGE) == pytest.approx(qm)
-        assert q_value(forest, phi, Action.NOT_MERGE) == pytest.approx(qn)
+        assert forest.predict(np.append(phi, 1.0)) == pytest.approx(qm)
+        assert forest.predict(np.append(phi, -1.0)) == pytest.approx(qn)
 
 
 def two_cluster_album(n_per=3, labeled=True):
@@ -137,33 +144,22 @@ class TestRunEpisode:
         assert trace.final_partition.n_groups == len(album)
         assert trace.steps == []
 
-    def test_inference_mode_rejects_ground_truth(self):
-        album = two_cluster_album()
-        with pytest.raises(ValueError, match="inference"):
-            run_episode(album, fixed_svm(22, 1.0), self.config, gt=ground_truth_partition(album))
+    def expert_steps(self, album):
+        gt = ground_truth_partition(album)
 
-    def test_teacher_forced_requires_ground_truth(self):
-        album = two_cluster_album()
-        with pytest.raises(ValueError, match="teacher"):
-            run_episode(album, fixed_svm(22, 1.0), self.config, teacher_forced=True)
+        def expert(state, candidate, phi):
+            return ground_truth_action(state, candidate, gt, self.config.costs)
+
+        return gt, list(episode(AlbumContext(album), self.config, expert, gt=gt))
 
     def test_teacher_forced_executes_expert_actions(self):
-        album = two_cluster_album()
-        gt = ground_truth_partition(album)
-        # an always-not-merge agent still ends at the ground truth under forcing
-        trace = run_episode(
-            album, fixed_svm(22, -1.0), self.config, gt=gt, teacher_forced=True
-        )
-        assert trace.final_partition.as_sets() == gt.as_sets()
-        assert trace.n_mistakes == sum(1 for s in trace.steps if s.action is Action.MERGE)
+        # the expert actor drives the episode to the ground truth
+        gt, steps = self.expert_steps(two_cluster_album())
+        assert steps[-1].next_state.partition.as_sets() == gt.as_sets()
 
     def test_long_term_reward_positive_on_expert_merges(self):
-        album = two_cluster_album()
-        gt = ground_truth_partition(album)
-        trace = run_episode(
-            album, fixed_svm(22, 1.0), self.config, gt=gt, teacher_forced=True
-        )
-        for step in trace.steps:
+        _, steps = self.expert_steps(two_cluster_album())
+        for step in steps:
             if step.action is Action.MERGE:
                 assert step.r_long == pytest.approx(self.config.costs.c_merge)
             else:
@@ -198,6 +194,10 @@ def test_policy_config_validation():
         PolicyConfig(gamma=1.0)
     with pytest.raises(ValueError):
         PolicyConfig(beta=-0.1)
+    with pytest.raises(ValueError, match="unknown"):
+        PolicyConfig.from_dict({"bogus": 1})
+    with pytest.raises(ValueError, match="costs"):
+        PolicyConfig.from_dict({"costs": [1, 6]})
 
 
 def test_policy_config_round_trip():

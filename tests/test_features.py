@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,122 +6,202 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facegroup.core import Action, State, transition
+from facegroup.core import Action, Album, State, transition
 from facegroup.features import (
     AlbumContext,
-    angular_distance,
-    consistency,
+    distance_matrix,
     extract_features,
     feature_dim,
-    median_distance,
+    pair_distance,
     quality_block,
-    similarity_block,
 )
 
 from conftest import make_item, unit
-from facegroup.core import Album
+
+
+def reference_features(X, qualities, idx_a, idx_b, eta):
+    """Brute-force feature vector: per-member arccos and np.median, no
+    cached distance matrix."""
+
+    def dist(i, j):
+        return math.acos(min(1.0, max(-1.0, float(X[i] @ X[j])))) / math.pi
+
+    def directed(src, dst):
+        med = sorted(float(np.median([dist(i, j) for j in dst])) for i in src)
+        return (med + [med[-1]] * eta)[:eta]  # padded with the largest
+
+    def consistency(group):
+        if len(group) < 2:
+            return 0.0
+        return float(np.median([dist(i, j) for i, j in itertools.combinations(group, 2)]))
+
+    def top_qualities(group):
+        q = sorted((qualities[i] for i in group), reverse=True)
+        return (q + [q[-1]] * eta)[:eta]  # padded with the minimum
+
+    return np.array(
+        directed(idx_a, idx_b)
+        + directed(idx_b, idx_a)
+        + [consistency(idx_a), consistency(idx_b)]
+        + top_qualities(idx_a)
+        + top_qualities(idx_b)
+    )
+
+
+def album_of(vectors, qualities=None):
+    qualities = qualities or [0.9] * len(vectors)
+    items = tuple(
+        make_item(f"i{k}", v, quality=q) for k, (v, q) in enumerate(zip(vectors, qualities))
+    )
+    return AlbumContext(Album(album_id="a", items=items))
+
+
+def grouped(n, *groups):
+    """State whose partition holds the given item groups (as merges of
+    singletons) and singletons elsewhere; returns it and the new group ids."""
+    state = State.initial(n)
+    gids = []
+    for members in groups:
+        gid = members[0]
+        for item in members[1:]:
+            state = transition(state, (gid, item), Action.MERGE)
+            gid = state.partition.next_group_id - 1
+        gids.append(gid)
+    return state, gids
+
+
+def singleton_distance(x, y):
+    """Angular distance of two items through the cached path: with singleton
+    groups every block value is the one item-item distance."""
+    ctx = album_of([x, y])
+    return pair_distance(ctx, [0], [1], eta=3)
 
 
 def test_angular_distance_identical_vectors():
     x = unit([1.0, 2.0, 3.0])
-    assert angular_distance(x, x) == pytest.approx(0.0, abs=1e-12)
+    assert singleton_distance(x, x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_angular_distance_antipodal():
     x = unit([0.3, -0.7, 0.1])
-    assert angular_distance(x, -x) == pytest.approx(1.0)
+    assert singleton_distance(x, -x) == pytest.approx(1.0)
 
 
 def test_angular_distance_orthogonal():
-    assert angular_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.5)
+    assert singleton_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.5)
 
 
 def test_angular_distance_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        angular_distance(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        distance_matrix(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
 
 
 @given(st.lists(st.floats(-1, 1), min_size=2, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_angular_distance_range(values):
     v = np.asarray(values)
-    if np.linalg.norm(v) < 1e-6:
+    if np.linalg.norm(v) < 1e-6 or np.linalg.norm(np.roll(v, 1) + 0.1) < 1e-6:
         return
-    x = unit(v)
-    y = unit(np.roll(v, 1) + 0.1)
-    d = angular_distance(x, y)
+    d = singleton_distance(unit(v), unit(np.roll(v, 1) + 0.1))
     assert 0.0 <= d <= 1.0
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 9),
+    eta=st.integers(1, 6),
+    use_quality=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_cached_features_match_bruteforce(seed, n, eta, use_quality):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ctx = album_of(list(rng.normal(size=(n, 8))), list(rng.uniform(0.05, 0.95, size=n)))
+    state = State.initial(n)
+    for _ in range(int(rng.integers(0, n))):
+        gids = sorted(state.partition.group_ids())
+        a, b = rng.choice(len(gids), size=2, replace=False)
+        state = transition(state, (gids[int(a)], gids[int(b)]), Action.MERGE)
+    gids = sorted(state.partition.group_ids())
+    if len(gids) < 2:
+        return
+    for gid_a, gid_b in itertools.permutations(gids, 2):
+        idx_a = sorted(state.partition.members(gid_a))
+        idx_b = sorted(state.partition.members(gid_b))
+        ref = reference_features(ctx.X, ctx.qualities, idx_a, idx_b, eta)
+        if not use_quality:
+            ref[2 * eta + 2 :] = 0.0
+        phi = extract_features(state, (gid_a, gid_b), ctx, eta, use_quality)
+        assert phi.shape == ref.shape
+        assert np.max(np.abs(phi - ref)) <= 1e-12
+        assert abs(pair_distance(ctx, idx_a, idx_b, eta) - ref[: 2 * eta].mean()) <= 1e-12
+
+
+def on_circle(*angles):
+    """Unit vectors in the plane at the given angles (fractions of pi)."""
+    return [[math.cos(a * math.pi), math.sin(a * math.pi)] for a in angles]
+
+
 class TestMedianDistance:
+    # the first A->B value for a singleton A is its median distance to B
+
     def test_singleton_group_with_itself(self):
         x = unit([1.0, 0.0, 0.0])
-        assert median_distance(x, x[None, :]) == pytest.approx(0.0, abs=1e-12)
+        phi = extract_features(State.initial(2), (0, 1), album_of([x, x]), eta=1)
+        assert phi[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_odd_median(self):
         # three group members at angular distances 0.1, 0.3, 0.9 from x
-        x = np.array([1.0, 0.0])
-        group = np.stack(
-            [
-                [math.cos(0.1 * math.pi), math.sin(0.1 * math.pi)],
-                [math.cos(0.3 * math.pi), math.sin(0.3 * math.pi)],
-                [math.cos(0.9 * math.pi), math.sin(0.9 * math.pi)],
-            ]
-        )
-        assert median_distance(x, group) == pytest.approx(0.3)
+        ctx = album_of(on_circle(0.0, 0.1, 0.3, 0.9))
+        state, (gid,) = grouped(4, [1, 2, 3])
+        assert extract_features(state, (0, gid), ctx, eta=1)[0] == pytest.approx(0.3)
 
     def test_even_median_averages_central_values(self):
-        x = np.array([1.0, 0.0])
-        group = np.stack(
-            [
-                [math.cos(0.1 * math.pi), math.sin(0.1 * math.pi)],
-                [math.cos(0.3 * math.pi), math.sin(0.3 * math.pi)],
-            ]
-        )
-        assert median_distance(x, group) == pytest.approx(0.2)
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            median_distance(np.array([1.0, 0.0]), np.empty((0, 2)))
+        ctx = album_of(on_circle(0.0, 0.1, 0.3))
+        state, (gid,) = grouped(3, [1, 2])
+        assert extract_features(state, (0, gid), ctx, eta=1)[0] == pytest.approx(0.2)
 
 
 class TestSimilarityBlock:
     def test_identical_singletons_all_zero(self):
-        x = unit([1.0, 1.0, 0.0])[None, :]
-        block = similarity_block(x, x, eta=5)
-        assert block.shape == (10,)
+        x = unit([1.0, 1.0, 0.0])
+        phi = extract_features(State.initial(2), (0, 1), album_of([x, x]), eta=5)
         # arccos is ill-conditioned at 1, so "zero" means ~sqrt(eps)
-        assert np.allclose(block, 0.0, atol=1e-7)
+        assert np.allclose(phi[:10], 0.0, atol=1e-7)
 
     def test_small_group_padded_with_largest(self):
         rng = np.random.Generator(np.random.PCG64(0))
-        a = np.stack([unit(rng.normal(size=4)) for _ in range(3)])
-        b = np.stack([unit(rng.normal(size=4)) for _ in range(2)])
-        block = similarity_block(a, b, eta=5)
-        ab = block[:5]
+        ctx = album_of(list(rng.normal(size=(5, 4))))
+        state, (gid_a, gid_b) = grouped(5, [0, 1, 2], [3, 4])
+        ab = extract_features(state, (gid_a, gid_b), ctx, eta=5)[:5]
         assert np.all(np.diff(ab[:3]) >= 0)  # ascending
         assert ab[3] == ab[2] and ab[4] == ab[2]  # padded with the largest computed
 
     def test_blocks_are_asymmetric(self):
         # 1-vs-3: medians from the singleton side differ from the group side
         rng = np.random.Generator(np.random.PCG64(1))
-        a = np.stack([unit(rng.normal(size=6))])
-        b = np.stack([unit(rng.normal(size=6)) for _ in range(3)])
-        block = similarity_block(a, b, eta=2)
-        assert not np.allclose(block[:2], block[2:])
+        ctx = album_of(list(rng.normal(size=(4, 6))))
+        state, (gid,) = grouped(4, [1, 2, 3])
+        phi = extract_features(state, (0, gid), ctx, eta=2)
+        assert not np.allclose(phi[:2], phi[2:4])
 
 
 class TestConsistency:
+    # consistency(A) sits at index 2 * eta of the feature vector
+
     def test_singleton_is_zero(self):
-        assert consistency(unit([1.0, 0.0])[None, :]) == 0.0
+        phi = extract_features(State.initial(2), (0, 1), album_of([[1.0, 0.0], [0.0, 1.0]]), eta=1)
+        assert phi[2] == 0.0
 
     def test_identical_pair_is_zero(self):
         x = unit([1.0, 2.0])
-        assert consistency(np.stack([x, x])) == pytest.approx(0.0, abs=1e-7)
+        state, (gid,) = grouped(3, [0, 1])
+        phi = extract_features(state, (gid, 2), album_of([x, x, [0.0, 1.0]]), eta=1)
+        assert phi[2] == pytest.approx(0.0, abs=1e-7)
 
     def test_three_orthogonal_embeddings(self):
-        group = np.eye(3)
-        assert consistency(group) == pytest.approx(0.5)
+        ctx = album_of(list(np.eye(4)))
+        state, (gid,) = grouped(4, [0, 1, 2])
+        assert extract_features(state, (gid, 3), ctx, eta=1)[2] == pytest.approx(0.5)
 
 
 class TestQualityBlock:

@@ -7,9 +7,7 @@ from facegroup.learn import (
     SvmHyper,
     SvmModel,
     forest_fit,
-    forest_predict,
     random_svm,
-    svm_decision,
     svm_fit,
 )
 
@@ -73,19 +71,19 @@ class TestSvmDecision:
 
     def test_positive_class_support_vector_scores_positive(self):
         model = self.make_model()
-        assert svm_decision(model, np.array([2.0, 2.0])) > 0
+        assert model.decision(np.array([2.0, 2.0])) > 0
 
     def test_decision_is_continuous(self):
         model = self.make_model()
         x = np.array([1.0, 1.0])
-        base = svm_decision(model, x)
+        base = model.decision(x)
         for eps in (1e-3, 1e-5):
-            assert abs(svm_decision(model, x + eps) - base) < 0.01
+            assert abs(model.decision(x + eps) - base) < 0.01
 
     def test_dimension_mismatch(self):
         model = self.make_model()
         with pytest.raises(ValueError, match="dimension"):
-            svm_decision(model, np.array([1.0, 1.0, 1.0]))
+            model.decision(np.array([1.0, 1.0, 1.0]))
 
     def test_round_trip_serialization(self):
         model = self.make_model()
@@ -111,7 +109,7 @@ class TestForest:
 
     def test_single_training_point(self):
         model = forest_fit(np.array([[1.0, 2.0]]), np.array([3.0]), ForestHyper(n_trees=3))
-        assert forest_predict(model, np.array([9.9, -4.0])) == pytest.approx(3.0)
+        assert model.predict(np.array([9.9, -4.0])) == pytest.approx(3.0)
 
     def test_step_function(self):
         X = np.linspace(0, 1, 200)[:, None]

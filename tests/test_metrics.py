@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facegroup.core import CostModel, Partition
+from facegroup.core import Action, Album, CostModel, Partition
+from facegroup.engine import PolicyConfig, episode
+from facegroup.features import AlbumContext
 from facegroup.metrics import (
     CapacityError,
     bcubed,
-    delta_op,
     normalized_op,
     op_cost,
     op_cost_oracle,
 )
+
+from conftest import make_item
 
 COSTS = CostModel()
 
@@ -153,28 +156,67 @@ class TestOracle:
             assert op_cost(h, g, costs).total_cost >= op_cost_oracle(h, g, costs) - 1e-9
 
 
+def near(axis, jitter=0.0, dim=4):
+    v = np.zeros(dim)
+    v[axis] = 1.0
+    v[(axis + 1) % dim] = jitter
+    return v
+
+
+def ctx_of(*vectors):
+    items = tuple(make_item(f"i{k}", v) for k, v in enumerate(vectors))
+    return AlbumContext(Album(album_id="a", items=items))
+
+
+def always(action):
+    return lambda state, candidate, phi: action
+
+
 class TestDeltaOp:
-    def test_requires_enough_history(self):
-        p = Partition.from_singletons(3)
-        with pytest.raises(ValueError, match="partitions"):
-            delta_op([p], p, 1, COSTS)
+    """The k-step op-cost delta is the episode kernel's ``r_long``."""
+
+    gt = Partition.from_groups([{0, 1}, {2, 3}])
+    # items 0, 1 near one axis and 2, 3 near another, a quarter turn apart
+    ctx = ctx_of(near(0), near(0, 0.05), near(1), near(1, 0.05))
 
     def test_no_change_is_zero(self):
-        p = Partition.from_groups([{0, 1}, {2}])
-        g = Partition.from_groups([{0, 1, 2}])
-        assert delta_op([p, p], g, 1, COSTS) == 0
+        steps = list(episode(self.ctx, PolicyConfig(), always(Action.NOT_MERGE), gt=self.gt))
+        assert steps and all(step.r_long == 0 for step in steps)
 
     def test_correct_merge_gains_merge_cost(self):
-        g = Partition.from_groups([{0, 1}, {2, 3}])
-        before = Partition.from_singletons(4)
-        after, _ = before.merged(0, 1)
-        assert delta_op([before, after], g, 1, COSTS) == pytest.approx(COSTS.c_merge)
+        steps = list(episode(self.ctx, PolicyConfig(), always(Action.MERGE), gt=self.gt))
+        assert [step.candidate for step in steps] == [(0, 1), (2, 3)]
+        assert all(step.r_long == pytest.approx(COSTS.c_merge) for step in steps)
 
     def test_wrong_merge_is_strictly_negative(self):
-        g = Partition.from_groups([{0, 1}, {2, 3}])
-        before = Partition.from_singletons(4)
-        after, _ = before.merged(0, 2)
-        assert delta_op([before, after], g, 1, COSTS) < 0
+        # the recommender's nearest pair, (0, 2), spans two target groups
+        ctx = ctx_of(near(0), near(1), near(0, 0.05), near(1, 0.1))
+        step = next(episode(ctx, PolicyConfig(), always(Action.MERGE), gt=self.gt))
+        assert step.candidate == (0, 2)
+        assert step.r_long < 0
+
+    def test_k_step_window_matches_bruteforce(self):
+        gt = Partition.from_groups([{0, 1, 2}, {3, 4}, {5}, {6}])
+        config = PolicyConfig(k_steps=3, tau=1.0)
+        for seed in range(5):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            ctx = ctx_of(*rng.normal(size=(7, 5)))
+
+            def coin(state, candidate, phi):
+                return Action.MERGE if rng.random() < 0.3 else Action.NOT_MERGE
+
+            partitions = []
+            r_longs = []
+            for step in episode(ctx, config, coin, gt=gt):
+                if not partitions:
+                    partitions.append(step.state.partition)
+                partitions.append(step.next_state.partition)
+                r_longs.append(step.r_long)
+            assert len(r_longs) > 3
+            for i, r_long in enumerate(r_longs, start=1):
+                # the window reaches back 3 steps, or to the initial partition
+                back = op_cost(partitions[max(0, i - 3)], gt, COSTS).total_cost
+                assert r_long == back - op_cost(partitions[i], gt, COSTS).total_cost
 
 
 class TestBcubed:

@@ -147,39 +147,29 @@ class TestQTrain:
 
     def test_step_cost_delta_bounded_by_reassignment_cost(self):
         # |R_long| for one step can never exceed fully reassigning the album
-        from facegroup.core import Action, CostModel, State, transition
-        from facegroup.metrics import delta_op
+        from facegroup.core import CostModel, Partition
+        from facegroup.engine import episode
+        from facegroup.features import AlbumContext
+        from facegroup.recommend import Strategy
 
         costs = CostModel()
         rng = np.random.Generator(np.random.PCG64(9))
         n = 8
-        gt_sets = [{0, 1, 2}, {3, 4}, {5, 6, 7}]
-        from facegroup.core import Partition
-
-        gt = Partition.from_groups(gt_sets)
-        state = State.initial(n)
-        parts = [state.partition]
+        album = Album(
+            album_id="r", items=tuple(make_item(f"i{k}", rng.normal(size=6)) for k in range(n))
+        )
+        gt = Partition.from_groups([{0, 1, 2}, {3, 4}, {5, 6, 7}])
+        config = PolicyConfig(tau=1.0, strategy=Strategy.RANDOM, costs=costs)
         bound = n * (costs.c_remove + costs.c_add)
-        for _ in range(30):
-            gids = sorted(state.partition.group_ids())
-            if len(gids) < 2:
-                break
-            a, b = rng.choice(len(gids), size=2, replace=False)
-            pair = (gids[int(a)], gids[int(b)])
-            from facegroup.core import fingerprint
 
-            fps = (
-                fingerprint(state.partition.members(pair[0])),
-                fingerprint(state.partition.members(pair[1])),
-            )
-            if state.history.contains(*fps):
-                continue
-            action = Action.MERGE if rng.random() < 0.5 else Action.NOT_MERGE
-            state = transition(state, pair, action)
-            parts.append(state.partition)
-            r_long = delta_op(parts[-2:], gt, 1, costs)
-            assert np.isfinite(r_long)
-            assert abs(r_long) <= bound
+        def coin(state, candidate, phi):
+            return Action.MERGE if rng.random() < 0.5 else Action.NOT_MERGE
+
+        steps = list(episode(AlbumContext(album), config, coin, gt=gt, rng=rng))
+        assert steps
+        for step in steps:
+            assert np.isfinite(step.r_long)
+            assert abs(step.r_long) <= bound
 
     def test_reproducible(self):
         a = q_train(self.albums, self.svm, self.config, train_cfg=TrainConfig(seed=3))
