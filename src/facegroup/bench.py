@@ -402,23 +402,32 @@ def save_model(model: Policy, config: PolicyConfig, path: str) -> None:
 
 
 def load_model(path: str) -> tuple[Policy, PolicyConfig]:
+    """Read a model file; any missing or malformed content is a SchemaError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"model file is not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("model file must hold a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported model schema {doc.get('schema')!r}")
+    kind = doc.get("kind")
+    loaders = {"svm": SvmModel.from_dict, "forest": ForestModel.from_dict}
+    if kind not in loaders:
+        raise SchemaError(f"unknown model kind {kind!r}")
     try:
         config = PolicyConfig.from_dict(doc["policy_config"])
+    except KeyError:
+        raise SchemaError("model file has no policy_config") from None
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"model policy_config: {exc}") from None
-    kind = doc.get("kind")
-    if kind == "svm":
-        return SvmModel.from_dict(doc), config
-    if kind == "forest":
-        return ForestModel.from_dict(doc), config
-    raise SchemaError(f"unknown model kind {kind!r}")
+    try:
+        return loaders[kind](doc), config
+    except KeyError as exc:
+        raise SchemaError(f"{kind} model: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{kind} model: {exc}") from None
 
 
 def save_partitions(entries: list[tuple[Album, Partition]], path: str) -> None:

@@ -10,6 +10,7 @@ pair partner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -58,6 +59,9 @@ class FaceItem:
         if emb.ndim != 1:
             raise ValueError(f"item {self.item_id}: embedding must be 1-d")
         norm = float(np.linalg.norm(emb))
+        # a NaN norm would pass the tolerance test below: NaN > tol is False
+        if not math.isfinite(norm):
+            raise ValueError(f"item {self.item_id}: embedding is not finite (norm {norm!r})")
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(
                 f"item {self.item_id}: embedding norm {norm!r} is not 1 "

@@ -33,7 +33,7 @@ from .core import (  # noqa: F401
 from .features import AlbumContext, extract_features
 from .learn import ForestModel, SvmModel
 from .metrics import op_cost
-from .recommend import RecommenderConfig, Strategy, recommend
+from .recommend import PairQueue, RecommenderConfig, Strategy, recommend
 
 Policy = SvmModel | ForestModel
 
@@ -165,7 +165,7 @@ def episode(
     """
     rec_cfg = config.recommender()
     state = State.initial(len(ctx))
-    cache: dict = {}
+    queue = PairQueue(ctx, config.eta, rec_cfg.tau)
     if gt is not None:
         recent_ops = deque(
             [op_cost(state.partition, gt, config.costs).total_cost],
@@ -173,7 +173,7 @@ def episode(
         )
     while True:
         t0 = time.perf_counter()
-        candidate = recommend(state, ctx, rec_cfg, config.eta, rng=rng, cache=cache)
+        candidate = recommend(state, ctx, rec_cfg, config.eta, rng=rng, queue=queue)
         if candidate is None:
             return
         phi = extract_features(state, candidate, ctx, config.eta, config.use_quality)

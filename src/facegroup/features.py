@@ -58,7 +58,14 @@ class AlbumContext:
         self.album = album
         self.X = np.stack([it.embedding for it in album.items])
         self.qualities = np.array([it.quality for it in album.items], dtype=np.float64)
-        self.D = distance_matrix(self.X)
+        D = distance_matrix(self.X)
+        # The recommender reads D[b, a] where a pair's block reads D[a, b], so
+        # D must be exactly symmetric. X @ X.T is when numpy hands it to
+        # BLAS as a rank-k update (syrk); copying the upper triangle makes it
+        # so on any build, and changes nothing where it already is.
+        lower = np.tril_indices(len(D), -1)
+        D[lower] = D.T[lower]
+        self.D = D
 
     def __len__(self) -> int:
         return len(self.album.items)
@@ -79,10 +86,36 @@ def _consistency_from_cached(ctx: AlbumContext, idx: list[int]) -> float:
     return float(np.median(sub[iu]))
 
 
-def pair_distance(ctx: AlbumContext, idx_a: list[int], idx_b: list[int], eta: int) -> float:
-    """Scalar inter-group distance: mean of the 2*eta similarity-block values."""
-    block_ab, block_ba = _blocks_from_cached(ctx, idx_a, idx_b, eta)
-    return float((block_ab.sum() + block_ba.sum()) / (2 * eta))
+def median_column(ctx: AlbumContext, idx: list[int]) -> np.ndarray:
+    """Median distance of every album item to the group ``idx``. On another
+    group's items it holds that group's side of the pair's similarity block."""
+    return np.median(ctx.D[:, idx], axis=1)
+
+
+def pair_distance(
+    cols: np.ndarray, label: np.ndarray, b: int, others: np.ndarray, eta: int
+) -> np.ndarray:
+    """Inter-group distances from group ``b`` to each group in ``others``.
+
+    Groups are rows of ``cols``: item i belongs to group ``label[i]``, and
+    ``cols[g]`` is group g's ``median_column``. A pair's distance is the
+    mean of the 2*eta similarity-block values of ``extract_features``:
+    group g's block is b's column on g's items, b's block is g's column on
+    b's items, each sorted ascending and cut or padded to eta values. Every
+    group in ``others`` must have members.
+    """
+    steps = np.arange(eta)
+    sizes = np.bincount(label, minlength=cols.shape[0])
+    first = np.cumsum(sizes) - sizes
+    # b's column over all items, grouped by label and ascending within a group
+    col_b = cols[b][np.lexsort((cols[b], label))]
+    block_g = col_b[first[others, None] + np.minimum(steps, sizes[others, None] - 1)]
+    idx_b = np.flatnonzero(label == b)
+    block_b = np.sort(cols[np.ix_(others, idx_b)], axis=1)[:, np.minimum(steps, idx_b.size - 1)]
+    # numpy sums a C-contiguous row as it sums a 1-d block, bit for bit; a
+    # strided row is summed in another order.
+    sums = np.ascontiguousarray(block_g).sum(axis=1) + np.ascontiguousarray(block_b).sum(axis=1)
+    return sums / (2 * eta)
 
 
 def extract_features(

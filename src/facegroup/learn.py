@@ -66,13 +66,21 @@ class SvmModel:
 
     @staticmethod
     def from_dict(d: dict) -> "SvmModel":
-        return SvmModel(
+        """Inverse of ``to_dict``; a missing key raises KeyError, malformed
+        arrays raise ValueError."""
+        model = SvmModel(
             support_vectors=np.asarray(d["support_vectors"], dtype=np.float64),
             coef=np.asarray(d["coef"], dtype=np.float64),
             bias=float(d["bias"]),
             gamma=float(d["gamma"]),
             c_reg=float(d["c_reg"]),
         )
+        sv = model.support_vectors
+        if sv.ndim != 2 or sv.shape[0] == 0 or model.coef.shape != (sv.shape[0],):
+            raise ValueError("support_vectors must be (n, dim) with one coef per row, n >= 1")
+        if not all(np.isfinite(a).all() for a in (sv, model.coef, model.bias, model.gamma)):
+            raise ValueError("support vectors, coef, bias and gamma must be finite")
+        return model
 
 
 def random_svm(dim: int, seed: int, n_anchors: int = 8, scale: float = 2.0) -> SvmModel:
@@ -327,17 +335,38 @@ class ForestModel:
             always_include=tuple(d["always_include"]),
             twin=bool(d.get("twin", False)),
         )
-        trees = [
-            _Tree(
-                feature=np.asarray(t["feature"], dtype=np.int64),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int64),
-                right=np.asarray(t["right"], dtype=np.int64),
-                value=np.asarray(t["value"], dtype=np.float64),
-            )
-            for t in d["trees"]
-        ]
-        return ForestModel(trees=trees, dim=int(d["dim"]), hyper=hyper)
+        dim = int(d["dim"])
+        trees = [_tree_from_dict(t, dim) for t in d["trees"]]
+        if not trees:
+            raise ValueError("forest has no trees")
+        return ForestModel(trees=trees, dim=dim, hyper=hyper)
+
+
+def _tree_from_dict(t: dict, dim: int) -> _Tree:
+    """One serialized tree, checked so that ``_Tree.apply`` terminates and
+    reads only real columns: every split node's children come after it in
+    the arrays (as ``_grow_tree`` lays them out), so a descent only moves
+    forward and ends at a leaf."""
+    tree = _Tree(
+        feature=np.asarray(t["feature"], dtype=np.int64),
+        threshold=np.asarray(t["threshold"], dtype=np.float64),
+        left=np.asarray(t["left"], dtype=np.int64),
+        right=np.asarray(t["right"], dtype=np.int64),
+        value=np.asarray(t["value"], dtype=np.float64),
+    )
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        raise ValueError("tree arrays must be 1-d, non-empty and of one length")
+    if ((tree.feature < -1) | (tree.feature >= dim)).any():
+        raise ValueError(f"tree feature index outside [0, {dim}) and not -1 (leaf)")
+    split = np.flatnonzero(tree.feature >= 0)
+    for child in (tree.left[split], tree.right[split]):
+        if ((child <= split) | (child >= n)).any():
+            raise ValueError("tree child index must come after its parent, inside the tree")
+    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+        raise ValueError("tree thresholds and values must be finite")
+    return tree
 
 
 def _best_split(Xn, yn, feats, min_leaf):

@@ -4,17 +4,24 @@ A recommender turns the O(N^2) pair space into one candidate per step. A
 pair is eligible when its group-id pair has not been recommended before
 and its inter-group distance is at or below the threshold ``tau``; when no
 eligible pair remains the episode ends.
+
+The eligible pairs are kept incrementally (the generic heap-based
+agglomerative algorithm of Muellner, arXiv:1109.2378). A pair's distance
+depends only on its two groups' members, which never change under a group
+id, so each pair is measured once, when the newer of its two groups
+appears, and stays valid while both ids are live.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import State
-from .features import AlbumContext, pair_distance
+from .core import Partition, State
+from .features import AlbumContext, median_column, pair_distance
 
 
 class Strategy(Enum):
@@ -32,40 +39,81 @@ class RecommenderConfig:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
 
 
-def eligible_pairs(
-    state: State,
-    ctx: AlbumContext,
-    config: RecommenderConfig,
-    eta: int,
-    cache: dict | None = None,
-) -> list[tuple[int, int, float]]:
-    """All candidate pairs passing the history and distance filters,
-    as (gid_a, gid_b, distance) in ascending (gid_a, gid_b) order.
+class PairQueue:
+    """The recommender's state over one episode: the median column of every
+    live group and a heap of ``(distance, gid_a, gid_b)``, gid_a < gid_b,
+    over the pairs within ``tau``.
 
-    ``cache`` memoizes pair distances by group-id pair. A group's members
-    never change under its id, so a cache shared across the steps of one
-    episode stays valid; episodes never share one.
+    Each group sits in a slot, a row of ``cols``; ``label`` maps every item
+    to its group's slot. When a group appears, its distances to all older
+    live groups are computed in one ``pair_distance`` batch. Entries of
+    retired ids and of pairs in the history are dropped lazily, so asking
+    twice in one state gives the same answer. A queue follows one episode
+    forward; it rejects a partition that does not descend from the last one
+    it saw.
     """
-    if cache is None:
-        cache = {}
-    part = state.partition
-    seen = state.history.pairs
-    gids = sorted(part.group_ids())
-    out: list[tuple[int, int, float]] = []
-    for i, gid_a in enumerate(gids):
-        for gid_b in gids[i + 1 :]:
-            key = (gid_a, gid_b)
-            if key in seen:
+
+    def __init__(self, ctx: AlbumContext, eta: int, tau: float):
+        n = len(ctx)
+        self.ctx, self.eta, self.tau = ctx, eta, tau
+        self.cols = np.empty((n, n))
+        self.label = np.empty(n, dtype=np.intp)
+        self.slot_gid = np.full(n, -1)  # -1 marks a free slot
+        self.slot: dict[int, int] = {}  # live group id -> slot
+        self.free = list(range(n - 1, -1, -1))
+        self.next_gid = 0
+        self.heap: list[tuple[float, int, int]] = []
+
+    def _sync(self, partition: Partition) -> None:
+        """Retire the groups gone from ``partition`` and add its new ones."""
+        if partition.next_group_id == self.next_gid:
+            return  # ids only grow, so no group appeared or left
+        live = set(partition.group_ids())
+        new = sorted(live - self.slot.keys())
+        if new and new[0] < self.next_gid:
+            raise ValueError("partition does not follow this queue's episode")
+        for gid in self.slot.keys() - live:
+            slot = self.slot.pop(gid)
+            self.slot_gid[slot] = -1
+            self.free.append(slot)
+        for gid in new:
+            slot = self.free.pop()
+            idx = sorted(partition.members(gid))
+            self.slot[gid] = slot
+            self.slot_gid[slot] = gid
+            self.label[idx] = slot
+            self.cols[slot] = median_column(self.ctx, idx)
+        for gid in new:  # every label is set, so each pair is measured once
+            older = np.flatnonzero((self.slot_gid >= 0) & (self.slot_gid < gid))
+            if older.size == 0:
                 continue
-            dist = cache.get(key)
-            if dist is None:
-                dist = pair_distance(
-                    ctx, sorted(part.members(gid_a)), sorted(part.members(gid_b)), eta
-                )
-                cache[key] = dist
-            if dist <= config.tau:
-                out.append((gid_a, gid_b, dist))
-    return out
+            dist = pair_distance(self.cols, self.label, self.slot[gid], older, self.eta)
+            close = dist <= self.tau
+            for d, h in zip(dist[close].tolist(), self.slot_gid[older[close]].tolist()):
+                heapq.heappush(self.heap, (d, h, gid))
+        self.next_gid = partition.next_group_id
+
+    def _pending(self, entry: tuple[float, int, int], seen: frozenset) -> bool:
+        _, gid_a, gid_b = entry
+        return gid_a in self.slot and gid_b in self.slot and (gid_a, gid_b) not in seen
+
+    def nearest(self, state: State) -> tuple[int, int] | None:
+        """The closest eligible pair, ties to the smallest group-id pair."""
+        self._sync(state.partition)
+        seen = state.history.pairs
+        while self.heap:
+            if self._pending(self.heap[0], seen):
+                return self.heap[0][1:]
+            heapq.heappop(self.heap)
+        return None
+
+    def eligible(self, state: State) -> list[tuple[int, int]]:
+        """All eligible pairs in ascending (gid_a, gid_b) order."""
+        self._sync(state.partition)
+        seen = state.history.pairs
+        self.heap = [e for e in self.heap if self._pending(e, seen)]
+        heapq.heapify(self.heap)
+        return sorted(e[1:] for e in self.heap)
 
 
 def recommend(
@@ -74,21 +122,24 @@ def recommend(
     config: RecommenderConfig,
     eta: int,
     rng: np.random.Generator | None = None,
-    cache: dict | None = None,
+    queue: PairQueue | None = None,
 ) -> tuple[int, int] | None:
     """Propose the next candidate pair, or None when the episode is over.
 
     HIERARCHICAL_NEAREST picks the closest eligible pair (ties to the
     smallest group-id pair); RANDOM picks uniformly among eligible pairs
-    using the caller's generator.
+    using the caller's generator. ``queue`` carries the pair distances
+    from step to step of one episode; without it they are computed afresh.
     """
-    pairs = eligible_pairs(state, ctx, config, eta, cache)
+    if queue is None:
+        queue = PairQueue(ctx, eta, config.tau)
+    elif (queue.ctx, queue.eta, queue.tau) != (ctx, eta, config.tau):
+        raise ValueError("pair queue was built for another album, eta or tau")
+    if config.strategy is not Strategy.RANDOM:
+        return queue.nearest(state)
+    pairs = queue.eligible(state)
     if not pairs:
         return None
-    if config.strategy is Strategy.RANDOM:
-        if rng is None:
-            raise ValueError("random strategy requires a seeded generator")
-        gid_a, gid_b, _ = pairs[int(rng.integers(len(pairs)))]
-    else:
-        gid_a, gid_b, _ = min(pairs, key=lambda p: (p[2], p[0], p[1]))
-    return (gid_a, gid_b)
+    if rng is None:
+        raise ValueError("random strategy requires a seeded generator")
+    return pairs[int(rng.integers(len(pairs)))]

@@ -134,3 +134,80 @@ def test_bad_policy_config_in_model_is_schema_mismatch(tmp_path, small_config, c
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:schema-mismatch:")
+
+
+def expect_schema_mismatch(argv, capsys):
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:schema-mismatch:"), err
+
+
+def test_non_finite_embedding_in_dataset_is_schema_mismatch(tmp_path, small_config, capsys):
+    data = tmp_path / "data.jsonl"
+    run(["simulate", "--config", small_config, "--out", str(data)])
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    records[3]["embedding"][0] = float("nan")
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    expect_schema_mismatch(
+        ["eval", "--data", str(data), "--partitions", str(tmp_path / "p.jsonl"),
+         "--report", str(tmp_path / "r.json")],
+        capsys,
+    )
+
+
+@pytest.mark.parametrize("drop", ["policy_config", "support_vectors"])
+def test_model_missing_key_is_schema_mismatch(tmp_path, small_config, capsys, drop):
+    from facegroup.bench import save_model
+    from facegroup.engine import PolicyConfig
+    from facegroup.learn import constant_svm
+
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", small_config, "--out", data])
+    model = tmp_path / "m.json"
+    save_model(constant_svm(22, 0.5), PolicyConfig(), str(model))
+    doc = json.loads(model.read_text())
+    del doc[drop]
+    model.write_text(json.dumps(doc))
+    expect_schema_mismatch(
+        ["group", "--data", data, "--model", str(model),
+         "--out-partitions", str(tmp_path / "p.jsonl")],
+        capsys,
+    )
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        {"left": 0},  # the root's left child is the root: apply never ends
+        {"right": 10**6},  # child outside the tree
+        {"feature": 23},  # no such column in a 23-wide Q row
+        {"value": float("nan")},
+    ],
+    ids=["cycle", "child-out-of-range", "feature-out-of-range", "nan-value"],
+)
+def test_malformed_forest_tree_is_schema_mismatch(tmp_path, small_config, capsys, corrupt):
+    import numpy as np
+
+    from facegroup.bench import save_model
+    from facegroup.engine import PolicyConfig
+    from facegroup.learn import ForestHyper, forest_fit
+
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", small_config, "--out", data])
+    rng = np.random.Generator(np.random.PCG64(0))
+    forest = forest_fit(
+        rng.random((40, 23)), rng.random(40), ForestHyper(n_trees=2, max_depth=3, min_leaf=2)
+    )
+    model = tmp_path / "m.json"
+    save_model(forest, PolicyConfig(), str(model))
+    doc = json.loads(model.read_text())
+    assert doc["trees"][0]["feature"][0] >= 0  # the root splits
+    for key, value in corrupt.items():
+        doc["trees"][0][key][0] = value
+    model.write_text(json.dumps(doc))
+    expect_schema_mismatch(
+        ["group", "--data", data, "--model", str(model),
+         "--out-partitions", str(tmp_path / "p.jsonl")],
+        capsys,
+    )

@@ -25,6 +25,11 @@ class TestFaceItem:
         with pytest.raises(ValueError, match="norm"):
             FaceItem(item_id="x", embedding=np.array([0.5, 0.0]), quality=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_embedding(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            FaceItem(item_id="x", embedding=np.array([1.0, bad]), quality=0.5)
+
     def test_rejects_quality_outside_range(self):
         with pytest.raises(ValueError, match="quality"):
             FaceItem(item_id="x", embedding=np.array([1.0, 0.0]), quality=1.5)

@@ -12,9 +12,9 @@ from facegroup.features import (
     distance_matrix,
     extract_features,
     feature_dim,
-    pair_distance,
     quality_block,
 )
+from facegroup.recommend import PairQueue
 
 from conftest import make_item, unit
 
@@ -70,11 +70,18 @@ def grouped(n, *groups):
     return state, gids
 
 
+def pair_distances(ctx, state, eta):
+    """Every live pair's distance as the recommender computes it (batched
+    ``pair_distance`` over median columns), keyed by (gid_a, gid_b)."""
+    queue = PairQueue(ctx, eta, tau=1.0)  # distances are at most 1: all kept
+    queue.eligible(state)
+    return {(a, b): d for d, a, b in queue.heap}
+
+
 def singleton_distance(x, y):
-    """Angular distance of two items through the cached path: with singleton
-    groups every block value is the one item-item distance."""
-    ctx = album_of([x, y])
-    return pair_distance(ctx, [0], [1], eta=3)
+    """Angular distance of two items through the recommender: with
+    singleton groups every block value is the one item-item distance."""
+    return pair_distances(album_of([x, y]), State.initial(2), eta=3)[(0, 1)]
 
 
 def test_angular_distance_identical_vectors():
@@ -124,6 +131,7 @@ def test_cached_features_match_bruteforce(seed, n, eta, use_quality):
     gids = sorted(state.partition.group_ids())
     if len(gids) < 2:
         return
+    distances = pair_distances(ctx, state, eta)
     for gid_a, gid_b in itertools.permutations(gids, 2):
         idx_a = sorted(state.partition.members(gid_a))
         idx_b = sorted(state.partition.members(gid_b))
@@ -133,7 +141,8 @@ def test_cached_features_match_bruteforce(seed, n, eta, use_quality):
         phi = extract_features(state, (gid_a, gid_b), ctx, eta, use_quality)
         assert phi.shape == ref.shape
         assert np.max(np.abs(phi - ref)) <= 1e-12
-        assert abs(pair_distance(ctx, idx_a, idx_b, eta) - ref[: 2 * eta].mean()) <= 1e-12
+        dist = distances[min(gid_a, gid_b), max(gid_a, gid_b)]
+        assert abs(dist - ref[: 2 * eta].mean()) <= 1e-12
 
 
 def on_circle(*angles):

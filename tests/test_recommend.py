@@ -2,12 +2,48 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facegroup.core import Action, Album, State, transition
-from facegroup.features import AlbumContext
-from facegroup.recommend import RecommenderConfig, Strategy, eligible_pairs, recommend
+from facegroup.features import AlbumContext, extract_features
+from facegroup.recommend import PairQueue, RecommenderConfig, Strategy, recommend
 
 from conftest import make_item
+
+
+def reference_distance(state, ctx, gid_a, gid_b, eta):
+    """Scalar pair distance: the mean of the pair's 2*eta similarity-block
+    values, read from its feature vector."""
+    phi = extract_features(state, (gid_a, gid_b), ctx, eta)
+    return float((phi[:eta].sum() + phi[eta : 2 * eta].sum()) / (2 * eta))
+
+
+def reference_pairs(state, ctx, config, eta):
+    """Brute-force scan of every live pair: those not yet recommended and
+    within tau, as (gid_a, gid_b, distance) in ascending (gid_a, gid_b) order."""
+    gids = sorted(state.partition.group_ids())
+    out = []
+    for i, gid_a in enumerate(gids):
+        for gid_b in gids[i + 1 :]:
+            if (gid_a, gid_b) in state.history.pairs:
+                continue
+            dist = reference_distance(state, ctx, gid_a, gid_b, eta)
+            if dist <= config.tau:
+                out.append((gid_a, gid_b, dist))
+    return out
+
+
+def reference_pick(pairs, config, rng):
+    """The scanned pair the strategy proposes: the closest (ties to the
+    smallest ids), or for RANDOM one draw over the scan's order."""
+    if not pairs:
+        return None
+    if config.strategy is Strategy.RANDOM:
+        gid_a, gid_b, _ = pairs[int(rng.integers(len(pairs)))]
+    else:
+        gid_a, gid_b, _ = min(pairs, key=lambda p: (p[2], p[0], p[1]))
+    return (gid_a, gid_b)
 
 
 def planar_album(angles, qualities=None):
@@ -103,8 +139,8 @@ def test_eligible_pairs_in_group_id_order(three_singletons):
     # RANDOM indexes into this list, so its order is part of the seeded behaviour
     album, ctx = three_singletons
     config = RecommenderConfig(strategy=Strategy.RANDOM, tau=1.0)
-    pairs = eligible_pairs(State.initial(3), ctx, config, eta=5)
-    assert [(a, b) for a, b, _ in pairs] == [(0, 1), (0, 2), (1, 2)]
+    queue = PairQueue(ctx, 5, config.tau)
+    assert queue.eligible(State.initial(3)) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_deterministic_tie_break_on_group_ids():
@@ -121,3 +157,60 @@ def test_hc_is_deterministic(three_singletons):
     config = RecommenderConfig(tau=0.6)
     picks = {recommend(State.initial(3), ctx, config, eta=5) for _ in range(5)}
     assert picks == {(0, 1)}
+
+
+def test_queue_rejects_another_episode(three_singletons):
+    album, ctx = three_singletons
+    config = RecommenderConfig(tau=1.0)
+    queue = PairQueue(ctx, 5, config.tau)
+    state = transition(State.initial(3), (0, 1), Action.MERGE)
+    recommend(state, ctx, config, eta=5, queue=queue)
+    with pytest.raises(ValueError, match="episode"):
+        recommend(State.initial(3), ctx, config, eta=5, queue=queue)
+    with pytest.raises(ValueError, match="another"):
+        recommend(state, ctx, RecommenderConfig(tau=0.5), eta=5, queue=queue)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 14),
+    eta=st.integers(1, 9),
+    tau=st.sampled_from([0.05, 0.2, 0.35, 0.45, 0.6, 1.0]),
+    strategy=st.sampled_from(list(Strategy)),
+    p_merge=st.sampled_from([0.0, 0.5, 1.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_incremental_recommend_matches_reference_scan(seed, n, eta, tau, strategy, p_merge):
+    """One queue carried through a random episode proposes, at every step,
+    the pair the brute-force scan picks, with the same generator draws, and
+    every distance it holds equals the scalar reference bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    # few directions, so tied distances and near-duplicates occur
+    directions = rng.normal(size=(int(rng.integers(1, n + 1)), 3))
+    album = Album(
+        album_id="prop",
+        items=tuple(
+            make_item(f"i{k}", directions[rng.integers(len(directions))] + rng.normal(size=3) * s)
+            for k, s in enumerate(rng.choice([0.0, 0.05, 0.5], size=n))
+        ),
+    )
+    ctx = AlbumContext(album)
+    config = RecommenderConfig(strategy=strategy, tau=tau)
+    queue = PairQueue(ctx, eta, tau)
+    rng_inc = np.random.Generator(np.random.PCG64(seed + 1))
+    rng_ref = np.random.Generator(np.random.PCG64(seed + 1))
+    state = State.initial(n)
+    while True:
+        pairs = reference_pairs(state, ctx, config, eta)
+        expected = reference_pick(pairs, config, rng_ref)
+        assert recommend(state, ctx, config, eta, rng=rng_inc, queue=queue) == expected
+        assert rng_inc.bit_generator.state == rng_ref.bit_generator.state
+        live = set(state.partition.group_ids())
+        held = {(a, b): d for d, a, b in queue.heap if a in live and b in live}
+        for (gid_a, gid_b), dist in held.items():
+            assert dist == reference_distance(state, ctx, gid_a, gid_b, eta)
+        assert {(a, b) for a, b, _ in pairs} <= held.keys()
+        if expected is None:
+            break
+        action = Action.MERGE if rng.random() < p_merge else Action.NOT_MERGE
+        state = transition(state, expected, action)
