@@ -18,6 +18,7 @@ import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -342,48 +343,49 @@ def save_dataset(albums: list[Album], path: str) -> None:
                 )
 
 
-def load_dataset(path: str, normalize: bool = False) -> list[Album]:
-    """Parse a dataset file, validating invariants record by record.
-
-    ``normalize`` renormalizes embeddings instead of rejecting off-norm ones.
-    """
-    order: list[str] = []
-    by_album: dict[str, list[FaceItem]] = {}
+def _records(path: str) -> Iterator[tuple[int, dict]]:
+    """(line number, record) of every non-blank line of a JSON Lines file;
+    a line that is not a JSON object is a SchemaError."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"record {lineno}: invalid JSON ({exc})") from None
-            try:
-                emb = np.asarray(rec["embedding"], dtype=np.float64)
-                if normalize:
-                    norm = np.linalg.norm(emb)
-                    if norm == 0:
-                        raise SchemaError(f"record {lineno}: zero embedding")
-                    emb = emb / norm
-                item = FaceItem(
-                    item_id=rec["item_id"],
-                    embedding=emb,
-                    quality=float(rec["quality"]),
-                    label=rec.get("label"),
-                )
-            except KeyError as exc:
-                raise SchemaError(f"record {lineno}: missing field {exc}") from None
-            except ValueError as exc:
-                raise SchemaError(f"record {lineno}: {exc}") from None
-            album_id = rec.get("album_id")
-            if album_id is None:
-                raise SchemaError(f"record {lineno}: missing field 'album_id'")
-            if album_id not in by_album:
-                order.append(album_id)
-                by_album[album_id] = []
-            by_album[album_id].append(item)
+            if not isinstance(rec, dict):
+                raise SchemaError(f"record {lineno}: not a JSON object")
+            yield lineno, rec
+
+
+def load_dataset(path: str, normalize: bool = False) -> list[Album]:
+    """Parse a dataset file, validating invariants record by record.
+
+    ``normalize`` renormalizes embeddings instead of rejecting off-norm ones.
+    """
+    by_album: dict[str, list[FaceItem]] = {}
+    for lineno, rec in _records(path):
+        try:
+            album_id, item_id, label = rec["album_id"], rec["item_id"], rec.get("label")
+            if not (isinstance(album_id, str) and isinstance(item_id, str)):
+                raise ValueError("album_id and item_id must be strings")
+            if not (label is None or isinstance(label, str)):
+                raise ValueError("label must be a string or null")
+            emb = np.asarray(rec["embedding"], dtype=np.float64)
+            if normalize:
+                norm = np.linalg.norm(emb)
+                if norm == 0:
+                    raise ValueError("zero embedding")
+                emb = emb / norm
+            item = FaceItem(item_id, emb, float(rec["quality"]), label)
+        except KeyError as exc:
+            raise SchemaError(f"record {lineno}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"record {lineno}: {exc}") from None
+        by_album.setdefault(album_id, []).append(item)
     try:
-        return [Album(album_id=aid, items=tuple(by_album[aid])) for aid in order]
+        return [Album(album_id=aid, items=tuple(items)) for aid, items in by_album.items()]
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -447,29 +449,24 @@ def save_partitions(entries: list[tuple[Album, Partition]], path: str) -> None:
 def load_partitions(albums: list[Album], path: str) -> dict[str, Partition]:
     by_id = {a.album_id: a for a in albums}
     out: dict[str, Partition] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"record {lineno}: invalid JSON ({exc})") from None
-            album = by_id.get(rec.get("album_id"))
-            if album is None:
-                raise SchemaError(f"record {lineno}: unknown album {rec.get('album_id')!r}")
-            index = {it.item_id: i for i, it in enumerate(album.items)}
-            try:
-                member_sets = [
-                    {index[item_id] for item_id in group} for group in rec["groups"]
-                ]
-            except KeyError as exc:
-                raise SchemaError(f"record {lineno}: unknown item id {exc}") from None
-            try:
-                out[album.album_id] = Partition.from_groups(member_sets)
-            except ValueError as exc:
-                raise SchemaError(f"record {lineno}: {exc}") from None
+    for lineno, rec in _records(path):
+        album_id, groups = rec.get("album_id"), rec.get("groups")
+        album = by_id.get(album_id) if isinstance(album_id, str) else None
+        if album is None:
+            raise SchemaError(f"record {lineno}: unknown album {album_id!r}")
+        if not isinstance(groups, list) or not all(
+            isinstance(g, list) and all(isinstance(i, str) for i in g) for g in groups
+        ):
+            raise SchemaError(f"record {lineno}: groups must be lists of item ids")
+        index = {it.item_id: i for i, it in enumerate(album.items)}
+        try:
+            member_sets = [{index[item_id] for item_id in group} for group in groups]
+        except KeyError as exc:
+            raise SchemaError(f"record {lineno}: unknown item id {exc}") from None
+        try:
+            out[album.album_id] = Partition.from_groups(member_sets)
+        except ValueError as exc:
+            raise SchemaError(f"record {lineno}: {exc}") from None
     return out
 
 

@@ -127,7 +127,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     doc = _load_config_file(args.config)
     policy_cfg = _policy_config(doc, args)
-    svm_hyper = _build(SvmHyper, doc.get("svm", {}), seed=args.seed)
+    svm_hyper = _build(SvmHyper, doc.get("svm", {}))
     forest_section = dict(doc.get("forest", {}))
     if "always_include" in forest_section:
         forest_section["always_include"] = tuple(forest_section["always_include"])

@@ -176,7 +176,7 @@ def episode(
         candidate = recommend(state, ctx, rec_cfg, config.eta, rng=rng, queue=queue)
         if candidate is None:
             return
-        phi = extract_features(state, candidate, ctx, config.eta, config.use_quality)
+        phi = extract_features(state, candidate, queue, config.use_quality)
         action = act(state, candidate, phi)
         next_state = transition(state, candidate, action)
         r_long = 0.0

@@ -16,20 +16,23 @@ fixed-size vector.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Album, State
+
+if TYPE_CHECKING:
+    from .recommend import PairQueue
 
 
 def feature_dim(eta: int) -> int:
     return 4 * eta + 2
 
 
-def distance_matrix(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise angular distances between rows of unit-norm matrices."""
-    Y = X if Y is None else Y
-    gram = np.clip(X @ Y.T, -1.0, 1.0)
+def distance_matrix(X: np.ndarray) -> np.ndarray:
+    """Pairwise angular distances between the rows of a unit-norm matrix."""
+    gram = np.clip(X @ X.T, -1.0, 1.0)
     return np.arccos(gram) / math.pi
 
 
@@ -71,14 +74,8 @@ class AlbumContext:
         return len(self.album.items)
 
 
-def _blocks_from_cached(ctx: AlbumContext, idx_a: list[int], idx_b: list[int], eta: int):
-    sub = ctx.D[np.ix_(idx_a, idx_b)]
-    block_ab = _first_eta(np.sort(np.median(sub, axis=1)), eta)
-    block_ba = _first_eta(np.sort(np.median(sub, axis=0)), eta)
-    return block_ab, block_ba
-
-
-def _consistency_from_cached(ctx: AlbumContext, idx: list[int]) -> float:
+def consistency(ctx: AlbumContext, idx: list[int]) -> float:
+    """Median pairwise distance within the group ``idx``; 0 for a singleton."""
     if len(idx) < 2:
         return 0.0
     sub = ctx.D[np.ix_(idx, idx)]
@@ -119,28 +116,20 @@ def pair_distance(
 
 
 def extract_features(
-    state: State,
-    candidate: tuple[int, int],
-    ctx: AlbumContext,
-    eta: int,
-    use_quality: bool = True,
+    state: State, candidate: tuple[int, int], queue: PairQueue, use_quality: bool = True
 ) -> np.ndarray:
-    """Feature vector for a candidate pair in the documented layout.
+    """Feature vector for a candidate pair in the documented layout, read
+    from the episode's ``PairQueue``: a similarity block is one group's
+    median column on the other group's items, and consistency and quality
+    are stored per group when the group appears.
 
     With ``use_quality`` off both quality blocks are zero-filled, keeping
     the dimension stable while removing the information (an ablation knob).
     """
-    gid_a, gid_b = candidate
-    idx_a = sorted(state.partition.members(gid_a))
-    idx_b = sorted(state.partition.members(gid_b))
-    block_ab, block_ba = _blocks_from_cached(ctx, idx_a, idx_b, eta)
-    cons = np.array(
-        [_consistency_from_cached(ctx, idx_a), _consistency_from_cached(ctx, idx_b)]
-    )
-    if use_quality:
-        qual_a = quality_block(ctx.qualities[idx_a], eta)
-        qual_b = quality_block(ctx.qualities[idx_b], eta)
-    else:
-        qual_a = np.zeros(eta)
-        qual_b = np.zeros(eta)
-    return np.concatenate([block_ab, block_ba, cons, qual_a, qual_b])
+    queue.sync(state.partition)
+    slot_a, slot_b = (queue.slot[gid] for gid in candidate)
+    cols, label, eta = queue.cols, queue.label, queue.eta
+    block_ab = _first_eta(np.sort(cols[slot_b][label == slot_a]), eta)
+    block_ba = _first_eta(np.sort(cols[slot_a][label == slot_b]), eta)
+    qual = queue.qual[[slot_a, slot_b]].ravel() if use_quality else np.zeros(2 * eta)
+    return np.concatenate([block_ab, block_ba, queue.cons[[slot_a, slot_b]], qual])

@@ -22,7 +22,6 @@ class SvmHyper:
     gamma: float | None = None  # None -> 1 / feature dimension
     tol: float = 1e-3
     max_passes: int = 50  # pair updates allowed per training sample
-    seed: int = 0
     balanced: bool = True  # scale the majority class box down by inverse frequency
 
 

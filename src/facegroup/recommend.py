@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Partition, State
-from .features import AlbumContext, median_column, pair_distance
+from .features import AlbumContext, consistency, median_column, pair_distance, quality_block
 
 
 class Strategy(Enum):
@@ -40,13 +40,15 @@ class RecommenderConfig:
 
 
 class PairQueue:
-    """The recommender's state over one episode: the median column of every
-    live group and a heap of ``(distance, gid_a, gid_b)``, gid_a < gid_b,
-    over the pairs within ``tau``.
+    """The per-group quantities of one episode and a heap of
+    ``(distance, gid_a, gid_b)``, gid_a < gid_b, over the pairs within ``tau``.
 
-    Each group sits in a slot, a row of ``cols``; ``label`` maps every item
-    to its group's slot. When a group appears, its distances to all older
-    live groups are computed in one ``pair_distance`` batch. Entries of
+    Each group sits in a slot: a row of ``cols`` (its median column),
+    ``cons`` (its consistency) and ``qual`` (its quality block), all set
+    once when the group appears; ``label`` maps every item to its group's
+    slot. ``extract_features`` reads a pair's features from these slots.
+    A new group's distances to all older live groups are computed in one
+    ``pair_distance`` batch. Entries of
     retired ids and of pairs in the history are dropped lazily, so asking
     twice in one state gives the same answer. A queue follows one episode
     forward; it rejects a partition that does not descend from the last one
@@ -57,6 +59,8 @@ class PairQueue:
         n = len(ctx)
         self.ctx, self.eta, self.tau = ctx, eta, tau
         self.cols = np.empty((n, n))
+        self.cons = np.empty(n)
+        self.qual = np.empty((n, eta))
         self.label = np.empty(n, dtype=np.intp)
         self.slot_gid = np.full(n, -1)  # -1 marks a free slot
         self.slot: dict[int, int] = {}  # live group id -> slot
@@ -64,7 +68,7 @@ class PairQueue:
         self.next_gid = 0
         self.heap: list[tuple[float, int, int]] = []
 
-    def _sync(self, partition: Partition) -> None:
+    def sync(self, partition: Partition) -> None:
         """Retire the groups gone from ``partition`` and add its new ones."""
         if partition.next_group_id == self.next_gid:
             return  # ids only grow, so no group appeared or left
@@ -83,6 +87,8 @@ class PairQueue:
             self.slot_gid[slot] = gid
             self.label[idx] = slot
             self.cols[slot] = median_column(self.ctx, idx)
+            self.cons[slot] = consistency(self.ctx, idx)
+            self.qual[slot] = quality_block(self.ctx.qualities[idx], self.eta)
         for gid in new:  # every label is set, so each pair is measured once
             older = np.flatnonzero((self.slot_gid >= 0) & (self.slot_gid < gid))
             if older.size == 0:
@@ -99,7 +105,7 @@ class PairQueue:
 
     def nearest(self, state: State) -> tuple[int, int] | None:
         """The closest eligible pair, ties to the smallest group-id pair."""
-        self._sync(state.partition)
+        self.sync(state.partition)
         seen = state.history.pairs
         while self.heap:
             if self._pending(self.heap[0], seen):
@@ -109,7 +115,7 @@ class PairQueue:
 
     def eligible(self, state: State) -> list[tuple[int, int]]:
         """All eligible pairs in ascending (gid_a, gid_b) order."""
-        self._sync(state.partition)
+        self.sync(state.partition)
         seen = state.history.pairs
         self.heap = [e for e in self.heap if self._pending(e, seen)]
         heapq.heapify(self.heap)

@@ -211,3 +211,52 @@ def test_malformed_forest_tree_is_schema_mismatch(tmp_path, small_config, capsys
          "--out-partitions", str(tmp_path / "p.jsonl")],
         capsys,
     )
+
+
+
+@pytest.mark.parametrize(
+    "target, key, value",
+    [
+        ("data", None, None),  # the record is a JSON list, not an object
+        ("partitions", None, None),
+        ("partitions", "groups", 5),
+        ("partitions", "groups", [[["x"]]]),  # a group holds a list, not an id
+        ("data", "quality", None),
+        ("data", "item_id", ["x"]),
+    ],
+    ids=["dataset-record-is-a-list", "partitions-record-is-a-list", "groups-not-a-list",
+         "group-holds-a-list", "quality-null", "item-id-is-a-list"],
+)
+def test_malformed_record_is_schema_mismatch(tmp_path, small_config, capsys, target, key, value):
+    from facegroup.bench import load_dataset, save_partitions
+    from facegroup.core import ground_truth_partition
+
+    files = {"data": tmp_path / "data.jsonl", "partitions": tmp_path / "parts.jsonl"}
+    run(["simulate", "--config", small_config, "--out", str(files["data"])])
+    albums = load_dataset(str(files["data"]))
+    save_partitions([(a, ground_truth_partition(a)) for a in albums], str(files["partitions"]))
+    path = files[target]
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[1] = [records[1]] if key is None else {**records[1], key: value}
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    expect_schema_mismatch(
+        ["eval", "--data", str(files["data"]), "--partitions", str(files["partitions"]),
+         "--report", str(tmp_path / "r.json")],
+        capsys,
+    )
+
+
+def test_svm_seed_in_config_is_schema_mismatch(tmp_path, small_config, capsys):
+    # SMO is deterministic, so SvmHyper has no seed to set
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", small_config, "--out", data])
+    with open(small_config) as fh:
+        cfg = json.load(fh)
+    cfg["svm"]["seed"] = 1
+    config = tmp_path / "seeded.json"
+    config.write_text(json.dumps(cfg))
+    expect_schema_mismatch(
+        ["train", "--data", data, "--out-model", str(tmp_path / "m.json"),
+         "--config", str(config)],
+        capsys,
+    )

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from facegroup.core import Action, Album, State, transition
 from facegroup.features import (
     AlbumContext,
-    distance_matrix,
     extract_features,
     feature_dim,
     quality_block,
@@ -70,6 +69,11 @@ def grouped(n, *groups):
     return state, gids
 
 
+def features_of(state, candidate, ctx, eta, use_quality=True):
+    """``extract_features`` on a fresh queue for the album of ``ctx``."""
+    return extract_features(state, candidate, PairQueue(ctx, eta, 1.0), use_quality)
+
+
 def pair_distances(ctx, state, eta):
     """Every live pair's distance as the recommender computes it (batched
     ``pair_distance`` over median columns), keyed by (gid_a, gid_b)."""
@@ -99,8 +103,9 @@ def test_angular_distance_orthogonal():
 
 
 def test_angular_distance_dimension_mismatch():
+    # distances are taken within one album, which holds one dimension
     with pytest.raises(ValueError, match="dimension"):
-        distance_matrix(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
+        album_of([[1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 @given(st.lists(st.floats(-1, 1), min_size=2, max_size=6))
@@ -138,7 +143,7 @@ def test_cached_features_match_bruteforce(seed, n, eta, use_quality):
         ref = reference_features(ctx.X, ctx.qualities, idx_a, idx_b, eta)
         if not use_quality:
             ref[2 * eta + 2 :] = 0.0
-        phi = extract_features(state, (gid_a, gid_b), ctx, eta, use_quality)
+        phi = features_of(state, (gid_a, gid_b), ctx, eta, use_quality)
         assert phi.shape == ref.shape
         assert np.max(np.abs(phi - ref)) <= 1e-12
         dist = distances[min(gid_a, gid_b), max(gid_a, gid_b)]
@@ -155,25 +160,25 @@ class TestMedianDistance:
 
     def test_singleton_group_with_itself(self):
         x = unit([1.0, 0.0, 0.0])
-        phi = extract_features(State.initial(2), (0, 1), album_of([x, x]), eta=1)
+        phi = features_of(State.initial(2), (0, 1), album_of([x, x]), eta=1)
         assert phi[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_odd_median(self):
         # three group members at angular distances 0.1, 0.3, 0.9 from x
         ctx = album_of(on_circle(0.0, 0.1, 0.3, 0.9))
         state, (gid,) = grouped(4, [1, 2, 3])
-        assert extract_features(state, (0, gid), ctx, eta=1)[0] == pytest.approx(0.3)
+        assert features_of(state, (0, gid), ctx, eta=1)[0] == pytest.approx(0.3)
 
     def test_even_median_averages_central_values(self):
         ctx = album_of(on_circle(0.0, 0.1, 0.3))
         state, (gid,) = grouped(3, [1, 2])
-        assert extract_features(state, (0, gid), ctx, eta=1)[0] == pytest.approx(0.2)
+        assert features_of(state, (0, gid), ctx, eta=1)[0] == pytest.approx(0.2)
 
 
 class TestSimilarityBlock:
     def test_identical_singletons_all_zero(self):
         x = unit([1.0, 1.0, 0.0])
-        phi = extract_features(State.initial(2), (0, 1), album_of([x, x]), eta=5)
+        phi = features_of(State.initial(2), (0, 1), album_of([x, x]), eta=5)
         # arccos is ill-conditioned at 1, so "zero" means ~sqrt(eps)
         assert np.allclose(phi[:10], 0.0, atol=1e-7)
 
@@ -181,7 +186,7 @@ class TestSimilarityBlock:
         rng = np.random.Generator(np.random.PCG64(0))
         ctx = album_of(list(rng.normal(size=(5, 4))))
         state, (gid_a, gid_b) = grouped(5, [0, 1, 2], [3, 4])
-        ab = extract_features(state, (gid_a, gid_b), ctx, eta=5)[:5]
+        ab = features_of(state, (gid_a, gid_b), ctx, eta=5)[:5]
         assert np.all(np.diff(ab[:3]) >= 0)  # ascending
         assert ab[3] == ab[2] and ab[4] == ab[2]  # padded with the largest computed
 
@@ -190,7 +195,7 @@ class TestSimilarityBlock:
         rng = np.random.Generator(np.random.PCG64(1))
         ctx = album_of(list(rng.normal(size=(4, 6))))
         state, (gid,) = grouped(4, [1, 2, 3])
-        phi = extract_features(state, (0, gid), ctx, eta=2)
+        phi = features_of(state, (0, gid), ctx, eta=2)
         assert not np.allclose(phi[:2], phi[2:4])
 
 
@@ -198,19 +203,19 @@ class TestConsistency:
     # consistency(A) sits at index 2 * eta of the feature vector
 
     def test_singleton_is_zero(self):
-        phi = extract_features(State.initial(2), (0, 1), album_of([[1.0, 0.0], [0.0, 1.0]]), eta=1)
+        phi = features_of(State.initial(2), (0, 1), album_of([[1.0, 0.0], [0.0, 1.0]]), eta=1)
         assert phi[2] == 0.0
 
     def test_identical_pair_is_zero(self):
         x = unit([1.0, 2.0])
         state, (gid,) = grouped(3, [0, 1])
-        phi = extract_features(state, (gid, 2), album_of([x, x, [0.0, 1.0]]), eta=1)
+        phi = features_of(state, (gid, 2), album_of([x, x, [0.0, 1.0]]), eta=1)
         assert phi[2] == pytest.approx(0.0, abs=1e-7)
 
     def test_three_orthogonal_embeddings(self):
         ctx = album_of(list(np.eye(4)))
         state, (gid,) = grouped(4, [0, 1, 2])
-        assert extract_features(state, (gid, 3), ctx, eta=1)[2] == pytest.approx(0.5)
+        assert features_of(state, (gid, 3), ctx, eta=1)[2] == pytest.approx(0.5)
 
 
 class TestQualityBlock:
@@ -239,7 +244,7 @@ class TestExtractFeatures:
         ctx = self.make_ctx()
         state = State.initial(6)
         state = transition(state, (0, 1), Action.MERGE)
-        phi = extract_features(state, (6, 2), ctx, eta=5)
+        phi = features_of(state, (6, 2), ctx, eta=5)
         assert phi.shape == (feature_dim(5),)
         assert np.all(np.isfinite(phi))
         assert np.all(phi[:10] >= 0) and np.all(phi[:10] <= 1)  # distance blocks
@@ -251,8 +256,8 @@ class TestExtractFeatures:
         ctx = self.make_ctx()
         state = State.initial(6)
         state = transition(state, (0, 1), Action.MERGE)
-        ab = extract_features(state, (6, 2), ctx, eta=3)
-        ba = extract_features(state, (2, 6), ctx, eta=3)
+        ab = features_of(state, (6, 2), ctx, eta=3)
+        ba = features_of(state, (2, 6), ctx, eta=3)
         eta = 3
         assert np.allclose(ab[:eta], ba[eta : 2 * eta])
         assert np.allclose(ab[eta : 2 * eta], ba[:eta])
@@ -263,7 +268,7 @@ class TestExtractFeatures:
     def test_quality_ablation_zeroes_blocks(self):
         ctx = self.make_ctx()
         state = State.initial(6)
-        phi = extract_features(state, (0, 1), ctx, eta=5, use_quality=False)
+        phi = features_of(state, (0, 1), ctx, eta=5, use_quality=False)
         assert np.allclose(phi[12:], 0.0)
         assert phi.shape == (22,)
 
@@ -272,7 +277,7 @@ class TestExtractFeatures:
         state = State.initial(6)
         dims = set()
         for pair in [(0, 1), (2, 3)]:
-            dims.add(extract_features(state, pair, ctx, eta=4).shape[0])
+            dims.add(features_of(state, pair, ctx, eta=4).shape[0])
         state = transition(state, (0, 1), Action.MERGE)
-        dims.add(extract_features(state, (6, 2), ctx, eta=4).shape[0])
+        dims.add(features_of(state, (6, 2), ctx, eta=4).shape[0])
         assert dims == {feature_dim(4)}

@@ -59,8 +59,8 @@ class TestSvmFit:
         X = rng.normal(size=(50, 6))
         y = np.sign(X[:, 1])
         y[y == 0] = 1
-        a = svm_fit(X, y, SvmHyper(seed=9))
-        b = svm_fit(X, y, SvmHyper(seed=9))
+        a = svm_fit(X, y, SvmHyper())
+        b = svm_fit(X, y, SvmHyper())
         assert a.to_dict() == b.to_dict()
 
 

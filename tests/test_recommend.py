@@ -6,17 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facegroup.core import Action, Album, State, transition
-from facegroup.features import AlbumContext, extract_features
+from facegroup.features import AlbumContext, consistency, extract_features, quality_block
 from facegroup.recommend import PairQueue, RecommenderConfig, Strategy, recommend
 
 from conftest import make_item
 
 
+def reference_blocks(state, ctx, gid_a, gid_b, eta):
+    """The pair's two similarity blocks gathered straight from the distance
+    matrix: the sorted row and column medians of the A x B submatrix."""
+    idx_a, idx_b = (sorted(state.partition.members(gid)) for gid in (gid_a, gid_b))
+    sub = ctx.D[np.ix_(idx_a, idx_b)]
+
+    def first_eta(values):
+        return np.concatenate([values, np.full(eta, values[-1])])[:eta]
+
+    return first_eta(np.sort(np.median(sub, axis=1))), first_eta(np.sort(np.median(sub, axis=0)))
+
+
+def reference_features(state, ctx, gid_a, gid_b, eta, use_quality):
+    """The pair's feature vector around the reference blocks."""
+    idx = [sorted(state.partition.members(gid)) for gid in (gid_a, gid_b)]
+    cons = [consistency(ctx, i) for i in idx]
+    qual = [quality_block(ctx.qualities[i], eta) if use_quality else np.zeros(eta) for i in idx]
+    return np.concatenate([*reference_blocks(state, ctx, gid_a, gid_b, eta), cons, *qual])
+
+
 def reference_distance(state, ctx, gid_a, gid_b, eta):
-    """Scalar pair distance: the mean of the pair's 2*eta similarity-block
-    values, read from its feature vector."""
-    phi = extract_features(state, (gid_a, gid_b), ctx, eta)
-    return float((phi[:eta].sum() + phi[eta : 2 * eta].sum()) / (2 * eta))
+    """Scalar pair distance: the mean of the pair's 2*eta similarity-block values."""
+    block_ab, block_ba = reference_blocks(state, ctx, gid_a, gid_b, eta)
+    return float((block_ab.sum() + block_ba.sum()) / (2 * eta))
 
 
 def reference_pairs(state, ctx, config, eta):
@@ -182,8 +201,9 @@ def test_queue_rejects_another_episode(three_singletons):
 @settings(max_examples=150, deadline=None)
 def test_incremental_recommend_matches_reference_scan(seed, n, eta, tau, strategy, p_merge):
     """One queue carried through a random episode proposes, at every step,
-    the pair the brute-force scan picks, with the same generator draws, and
-    every distance it holds equals the scalar reference bit for bit."""
+    the pair the brute-force scan picks, with the same generator draws;
+    every distance it holds equals the scalar reference bit for bit, and so
+    do the candidate's features read from its slots."""
     rng = np.random.Generator(np.random.PCG64(seed))
     # few directions, so tied distances and near-duplicates occur
     directions = rng.normal(size=(int(rng.integers(1, n + 1)), 3))
@@ -212,5 +232,9 @@ def test_incremental_recommend_matches_reference_scan(seed, n, eta, tau, strateg
         assert {(a, b) for a, b, _ in pairs} <= held.keys()
         if expected is None:
             break
+        for use_quality in (True, False):
+            phi = extract_features(state, expected, queue, use_quality)
+            ref = reference_features(state, ctx, *expected, eta, use_quality)
+            assert np.array_equal(phi, ref)
         action = Action.MERGE if rng.random() < p_merge else Action.NOT_MERGE
         state = transition(state, expected, action)
