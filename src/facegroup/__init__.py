@@ -17,7 +17,7 @@ from .core import (
 from .engine import EpisodeTrace, PolicyConfig, run_episode
 from .learn import ForestHyper, ForestModel, SvmHyper, SvmModel
 from .metrics import BcubedScores, OpResult, bcubed, normalized_op, op_cost
-from .recommend import RecommenderConfig, Strategy, recommend
+from .recommend import Strategy, recommend
 from .train import TrainConfig, irl_train, q_train
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "OpResult",
     "Partition",
     "PolicyConfig",
-    "RecommenderConfig",
     "State",
     "Strategy",
     "SvmHyper",

@@ -372,13 +372,16 @@ def load_dataset(path: str, normalize: bool = False) -> list[Album]:
                 raise ValueError("album_id and item_id must be strings")
             if not (label is None or isinstance(label, str)):
                 raise ValueError("label must be a string or null")
+            quality = rec["quality"]
+            if isinstance(quality, bool) or not isinstance(quality, (int, float)):
+                raise ValueError("quality must be a number")
             emb = np.asarray(rec["embedding"], dtype=np.float64)
             if normalize:
                 norm = np.linalg.norm(emb)
                 if norm == 0:
                     raise ValueError("zero embedding")
                 emb = emb / norm
-            item = FaceItem(item_id, emb, float(rec["quality"]), label)
+            item = FaceItem(item_id, emb, float(quality), label)
         except KeyError as exc:
             raise SchemaError(f"record {lineno}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:

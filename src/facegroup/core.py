@@ -101,9 +101,6 @@ class History:
 
     pairs: frozenset[tuple[int, int]] = frozenset()
 
-    def contains(self, gid_a: int, gid_b: int) -> bool:
-        return (min(gid_a, gid_b), max(gid_a, gid_b)) in self.pairs
-
     def with_pair(self, gid_a: int, gid_b: int) -> "History":
         key = (min(gid_a, gid_b), max(gid_a, gid_b))
         if key in self.pairs:

@@ -33,7 +33,7 @@ from .core import (  # noqa: F401
 from .features import AlbumContext, extract_features
 from .learn import ForestModel, SvmModel
 from .metrics import op_cost
-from .recommend import PairQueue, RecommenderConfig, Strategy, recommend
+from .recommend import PairQueue, Strategy, recommend
 
 Policy = SvmModel | ForestModel
 
@@ -60,9 +60,8 @@ class PolicyConfig:
             raise ValueError("gamma must be in [0, 1)")
         if self.eta < 1 or self.k_steps < 1:
             raise ValueError("eta and k_steps must be positive")
-
-    def recommender(self) -> RecommenderConfig:
-        return RecommenderConfig(strategy=self.strategy, tau=self.tau)
+        if not 0.0 < self.tau <= 1.0:
+            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -128,12 +127,6 @@ def choose_action(
     return Action.MERGE if q_merge > q_not else Action.NOT_MERGE
 
 
-def greedy_action(policy: Policy, phi: np.ndarray) -> Action:
-    if isinstance(policy, SvmModel):
-        return Action.MERGE if policy.decision(phi) > 0 else Action.NOT_MERGE
-    return choose_action(policy, phi, epsilon=0.0)
-
-
 @dataclass(frozen=True)
 class Step:
     """One decision of an episode: the transition (state, action, next_state)."""
@@ -163,9 +156,8 @@ def episode(
     ``rng`` feeds the RANDOM recommender; an actor that draws from the same
     generator, as epsilon-greedy play does, draws after its step's recommend.
     """
-    rec_cfg = config.recommender()
     state = State.initial(len(ctx))
-    queue = PairQueue(ctx, config.eta, rec_cfg.tau)
+    queue = PairQueue(ctx, config.eta, config.tau)
     if gt is not None:
         recent_ops = deque(
             [op_cost(state.partition, gt, config.costs).total_cost],
@@ -173,7 +165,7 @@ def episode(
         )
     while True:
         t0 = time.perf_counter()
-        candidate = recommend(state, ctx, rec_cfg, config.eta, rng=rng, queue=queue)
+        candidate = recommend(state, queue, config.strategy, rng=rng)
         if candidate is None:
             return
         phi = extract_features(state, candidate, queue, config.use_quality)
@@ -219,17 +211,24 @@ def run_episode(
     ctx: AlbumContext | None = None,
 ) -> EpisodeTrace:
     """Group one album with the policy's greedy actions, returning the
-    per-step trace and the final partition. No label is read."""
+    per-step trace and the final partition. No label is read.
+
+    An SVM is asked once per step: the actor keeps the margin it acted on,
+    and the step's ``r_short`` is that margin signed by the action."""
     steps: list[StepRecord] = []
     partition = Partition.from_singletons(len(album))
+    margin = 0.0
 
     def act(state, candidate, phi):
-        return greedy_action(policy, phi)
+        nonlocal margin
+        if isinstance(policy, ForestModel):
+            return choose_action(policy, phi, epsilon=0.0)
+        margin = policy.decision(phi)
+        return Action.MERGE if margin > 0 else Action.NOT_MERGE
 
     for step in episode(ctx or AlbumContext(album), config, act, rng=rng):
-        r_short = 0.0
-        if isinstance(policy, SvmModel):
-            r_short = reward_short(policy, step.phi, step.action)
+        # a literal for the forest: -1.0 * 0.0 would write -0.0 to the trace
+        r_short = 0.0 if isinstance(policy, ForestModel) else action_flag(step.action) * margin
         steps.append(
             StepRecord(
                 step=step.state.step,

@@ -19,10 +19,13 @@ _KERNEL_CACHE_LIMIT = 3000
 @dataclass(frozen=True)
 class SvmHyper:
     c_reg: float = 10.0
-    gamma: float | None = None  # None -> 1 / feature dimension
+    gamma: float = 3.0
     tol: float = 1e-3
     max_passes: int = 50  # pair updates allowed per training sample
-    balanced: bool = True  # scale the majority class box down by inverse frequency
+
+    def __post_init__(self):
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
 @dataclass
@@ -120,9 +123,9 @@ def svm_fit(X: np.ndarray, y: np.ndarray, hyper: SvmHyper = SvmHyper()) -> SvmMo
     """Train a soft-margin RBF SVM by SMO with maximal-violating-pair selection.
 
     ``y`` holds +/-1 labels. Optimization stops when the KKT violation gap
-    falls below ``tol`` or the pair-update budget runs out. With
-    ``balanced`` the majority class box constraint is scaled by the inverse
-    class frequency ratio, so the minority class keeps the full ``c_reg``.
+    falls below ``tol`` or the pair-update budget runs out. The majority
+    class box constraint is scaled by the inverse class frequency ratio, so
+    the minority class keeps the full ``c_reg``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -132,26 +135,24 @@ def svm_fit(X: np.ndarray, y: np.ndarray, hyper: SvmHyper = SvmHyper()) -> SvmMo
         raise ValueError("features contain NaN")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("training set must contain both classes")
-    n, dim = X.shape
-    gamma = hyper.gamma if hyper.gamma is not None else 1.0 / dim
+    n = X.shape[0]
 
     n_pos = int(np.sum(y > 0))
     n_neg = n - n_pos
     c_pos = c_neg = hyper.c_reg
-    if hyper.balanced:
-        if n_pos > n_neg:
-            c_pos = hyper.c_reg * n_neg / n_pos
-        elif n_neg > n_pos:
-            c_neg = hyper.c_reg * n_pos / n_neg
+    if n_pos > n_neg:
+        c_pos = hyper.c_reg * n_neg / n_pos
+    elif n_neg > n_pos:
+        c_neg = hyper.c_reg * n_pos / n_neg
     C = np.where(y > 0, c_pos, c_neg)
 
     sq = (X**2).sum(axis=1)
     K = None
     if n <= _KERNEL_CACHE_LIMIT:
-        K = np.exp(-gamma * np.maximum(sq[:, None] + sq[None, :] - 2.0 * X @ X.T, 0.0))
+        K = np.exp(-hyper.gamma * np.maximum(sq[:, None] + sq[None, :] - 2.0 * X @ X.T, 0.0))
 
     def krow(i: int) -> np.ndarray:
-        return K[i] if K is not None else _kernel_rows(X, sq, gamma, i)
+        return K[i] if K is not None else _kernel_rows(X, sq, hyper.gamma, i)
 
     alpha = np.zeros(n)
     E = -y.copy()  # f(x_i) - y_i with f = 0 initially (bias excluded from f)
@@ -206,7 +207,7 @@ def svm_fit(X: np.ndarray, y: np.ndarray, hyper: SvmHyper = SvmHyper()) -> SvmMo
         support_vectors=X[keep].copy(),
         coef=np.asarray(coef, dtype=np.float64),
         bias=bias,
-        gamma=gamma,
+        gamma=hyper.gamma,
         c_reg=hyper.c_reg,
     )
 
@@ -256,9 +257,6 @@ class ForestHyper:
     # feature indices offered at every split regardless of subsampling (the
     # action flag of a Q-feature layout goes here)
     always_include: tuple[int, ...] = field(default_factory=tuple)
-    # twin mode roots every tree on the flag column (always_include[0]),
-    # effectively growing one forest per action over shared bootstraps
-    twin: bool = False
 
 
 @dataclass
@@ -289,9 +287,6 @@ class ForestModel:
     dim: int
     hyper: ForestHyper
 
-    def predict(self, x: np.ndarray) -> float:
-        return float(self.predict_many(np.asarray(x, dtype=np.float64)[None, :])[0])
-
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != self.dim:
@@ -310,7 +305,6 @@ class ForestModel:
             "feature_frac": self.hyper.feature_frac,
             "seed": self.hyper.seed,
             "always_include": list(self.hyper.always_include),
-            "twin": self.hyper.twin,
             "trees": [
                 {
                     "feature": t.feature.tolist(),
@@ -332,7 +326,6 @@ class ForestModel:
             feature_frac=float(d["feature_frac"]),
             seed=int(d["seed"]),
             always_include=tuple(d["always_include"]),
-            twin=bool(d.get("twin", False)),
         )
         dim = int(d["dim"])
         trees = [_tree_from_dict(t, dim) for t in d["trees"]]
@@ -426,17 +419,6 @@ def _grow_tree(X, y, hyper: ForestHyper, rng: np.random.Generator) -> _Tree:
         node, idx, depth = stack.pop()
         yn = y[idx]
         value[node] = float(yn.mean())
-        if node == root and hyper.twin and hyper.always_include:
-            flag = hyper.always_include[0]
-            go_left = X[idx, flag] <= 0.0
-            if go_left.any() and (~go_left).any():
-                feature[node] = flag
-                threshold[node] = 0.0
-                l_id, r_id = new_node(), new_node()
-                left[node], right[node] = l_id, r_id
-                stack.append((r_id, idx[~go_left], depth + 1))
-                stack.append((l_id, idx[go_left], depth + 1))
-                continue
         if (
             depth >= hyper.max_depth
             or idx.shape[0] < 2 * hyper.min_leaf

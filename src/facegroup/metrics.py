@@ -21,14 +21,12 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class OpResult:
-    """Edit plan summary: operation counts, weighted total, and the
-    hypothesis-group -> target-group assignment (None means dissolve)."""
+    """Edit plan summary: operation counts and their weighted total."""
 
     total_cost: float
     n_adds: int
     n_removes: int
     n_merges: int
-    assignment: dict
 
     def counts(self) -> tuple[int, int, int]:
         return (self.n_adds, self.n_removes, self.n_merges)
@@ -50,11 +48,10 @@ def op_cost(h: Partition, g: Partition, costs: CostModel) -> OpResult:
     """Deterministic edit plan transforming ``h`` into ``g``.
 
     Plan: every hypothesis group keeps its largest overlap with some target
-    group (ties to the smallest target index) and sheds the rest as removals;
-    groups made entirely of target singletons dissolve outright. Groups
-    aimed at the same target are merged, and still-missing members are added
-    back one by one. The returned cost is an upper bound on the true minimum
-    and is zero exactly when the partitions coincide.
+    group (ties to the smallest target index) and sheds the rest as removals.
+    Groups aimed at the same target are merged, and still-missing members
+    are added back one by one. The returned cost is an upper bound on the
+    true minimum and is zero exactly when the partitions coincide.
     """
     _check_same_items(h, g)
 
@@ -63,24 +60,17 @@ def op_cost(h: Partition, g: Partition, costs: CostModel) -> OpResult:
     for j, (_, members) in enumerate(g_groups):
         for i in members:
             item_to_gidx[i] = j
-    g_singleton = [len(members) == 1 for _, members in g_groups]
 
     n_adds = n_removes = n_merges = 0
     targeting = [0] * len(g_groups)
     covered = [0] * len(g_groups)
-    assignment: dict = {}
 
-    for hid, members in h.groups:
+    for _, members in h.groups:
         overlap: dict[int, int] = {}
         for i in members:
             j = item_to_gidx[i]
             overlap[j] = overlap.get(j, 0) + 1
-        if len(members) >= 2 and all(g_singleton[item_to_gidx[i]] for i in members):
-            assignment[hid] = None
-            n_removes += len(members) - 1
-            continue
         best_j = min(overlap, key=lambda j: (-overlap[j], j))
-        assignment[hid] = g_groups[best_j][0]
         n_removes += len(members) - overlap[best_j]
         targeting[best_j] += 1
         covered[best_j] += overlap[best_j]
@@ -98,7 +88,6 @@ def op_cost(h: Partition, g: Partition, costs: CostModel) -> OpResult:
         n_adds=n_adds,
         n_removes=n_removes,
         n_merges=n_merges,
-        assignment=assignment,
     )
 
 

@@ -15,7 +15,6 @@ appears, and stays valid while both ids are live.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,16 +26,6 @@ from .features import AlbumContext, consistency, median_column, pair_distance, q
 class Strategy(Enum):
     HIERARCHICAL_NEAREST = "hc"
     RANDOM = "random"
-
-
-@dataclass(frozen=True)
-class RecommenderConfig:
-    strategy: Strategy = Strategy.HIERARCHICAL_NEAREST
-    tau: float = 0.45
-
-    def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
 
 
 class PairQueue:
@@ -124,24 +113,18 @@ class PairQueue:
 
 def recommend(
     state: State,
-    ctx: AlbumContext,
-    config: RecommenderConfig,
-    eta: int,
+    queue: PairQueue,
+    strategy: Strategy,
     rng: np.random.Generator | None = None,
-    queue: PairQueue | None = None,
 ) -> tuple[int, int] | None:
     """Propose the next candidate pair, or None when the episode is over.
 
     HIERARCHICAL_NEAREST picks the closest eligible pair (ties to the
     smallest group-id pair); RANDOM picks uniformly among eligible pairs
-    using the caller's generator. ``queue`` carries the pair distances
-    from step to step of one episode; without it they are computed afresh.
+    using the caller's generator. ``queue`` holds the episode's album, eta
+    and tau and carries the pair distances from step to step.
     """
-    if queue is None:
-        queue = PairQueue(ctx, eta, config.tau)
-    elif (queue.ctx, queue.eta, queue.tau) != (ctx, eta, config.tau):
-        raise ValueError("pair queue was built for another album, eta or tau")
-    if config.strategy is not Strategy.RANDOM:
+    if strategy is not Strategy.RANDOM:
         return queue.nearest(state)
     pairs = queue.eligible(state)
     if not pairs:

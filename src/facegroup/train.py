@@ -55,38 +55,16 @@ from .recommend import recommend  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
+# Stage two keeps at most this many of the latest experiences.
+BUFFER_CAPACITY = 100_000
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 50
-    retrain_per_album: bool = True  # False retrains once per epoch instead
     refit_every: int = 10  # episodes between forest refits
-    buffer_capacity: int = 100_000
     seed: int = 0
     reward_mode: str = "svm"  # "svm" uses the learned margin, "pm1" a +/-1 agreement loss
-
-
-class MistakeSet:
-    """Append-only pool of (features, expert action) pairs across all epochs."""
-
-    def __init__(self, dim: int):
-        self._phis: list[np.ndarray] = []
-        self._labels: list[float] = []
-        self.dim = dim
-
-    def add(self, phi: np.ndarray, expert: Action) -> None:
-        self._phis.append(phi)
-        self._labels.append(action_flag(expert))
-
-    def __len__(self) -> int:
-        return len(self._phis)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self._phis), np.asarray(self._labels)
-
-    def has_both_classes(self) -> bool:
-        labels = set(self._labels)
-        return 1.0 in labels and -1.0 in labels
 
 
 @dataclass
@@ -96,22 +74,6 @@ class Experience:
     reward: float
     next_phi: np.ndarray | None  # features of the next recommended candidate
     terminal: bool
-
-
-class ExperienceBuffer:
-    """Bounded FIFO of transition samples."""
-
-    def __init__(self, capacity: int):
-        self._items: deque[Experience] = deque(maxlen=capacity)
-
-    def add(self, exp: Experience) -> None:
-        self._items.append(exp)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def items(self) -> list[Experience]:
-        return list(self._items)
 
 
 @dataclass
@@ -161,10 +123,10 @@ def expert_trajectory(
     return np.asarray(phis), np.asarray(labels)
 
 
-def _fit_on_mistakes(mistakes: MistakeSet, hyper: SvmHyper) -> SvmModel:
-    X, y = mistakes.arrays()
-    if not mistakes.has_both_classes():
-        return constant_svm(mistakes.dim, bias=float(y[0]))
+def _fit_on_mistakes(phis: list[np.ndarray], labels: list[float], hyper: SvmHyper) -> SvmModel:
+    X, y = np.asarray(phis), np.asarray(labels)
+    if not (1.0 in labels and -1.0 in labels):
+        return constant_svm(X.shape[1], bias=float(y[0]))
     return svm_fit(X, y, hyper)
 
 
@@ -179,16 +141,18 @@ def irl_train(
 
     Every album is played teacher-forced each epoch; wherever the myopic
     policy disagrees with the expert, the pair's features and the expert
-    action join the mistake set and the SVM is retrained (per album by
-    default). Converges when a full epoch produces no mistakes; otherwise
-    stops at ``max_epochs`` with the last model and a warning.
+    action join the mistake set and the SVM is retrained after each album
+    that had mistakes. Converges when a full epoch produces no mistakes;
+    otherwise stops at ``max_epochs`` with the last model and a warning.
     """
     if not albums:
         raise ValueError("album set must not be empty")
     pairs = _labeled_pairs(albums, gts)
     dim = feature_dim(config.eta)
     model: SvmModel = random_svm(dim, seed=train_cfg.seed)
-    mistakes = MistakeSet(dim)
+    # the mistake set: features and expert actions (+/-1), kept across epochs
+    mistake_phis: list[np.ndarray] = []
+    mistake_labels: list[float] = []
     trajectories = [
         (
             album.album_id,
@@ -213,20 +177,18 @@ def irl_train(
             decisions = model.decision_many(phis)
             predicted = np.where(decisions > 0, 1.0, -1.0)
             wrong = np.flatnonzero(predicted != labels)
-            for k in wrong:
-                mistakes.add(phis[k], Action.MERGE if labels[k] > 0 else Action.NOT_MERGE)
+            mistake_phis.extend(phis[wrong])
+            mistake_labels.extend(labels[wrong].tolist())
             epoch_mistakes += len(wrong)
             if len(wrong) == 0:
                 albums_solved += 1
-            elif train_cfg.retrain_per_album:
-                model = _fit_on_mistakes(mistakes, svm_hyper)
-        if not train_cfg.retrain_per_album and epoch_mistakes:
-            model = _fit_on_mistakes(mistakes, svm_hyper)
+            else:
+                model = _fit_on_mistakes(mistake_phis, mistake_labels, svm_hyper)
         mistakes_per_epoch.append(epoch_mistakes)
-        accuracy = _mistake_accuracy(model, mistakes)
+        accuracy = _mistake_accuracy(model, mistake_phis, mistake_labels)
         logger.info(
             "irl epoch=%d mistakes=%d |L|=%d albums_solved=%d/%d svm_acc=%.3f",
-            epoch, epoch_mistakes, len(mistakes), albums_solved, len(pairs), accuracy,
+            epoch, epoch_mistakes, len(mistake_phis), albums_solved, len(pairs), accuracy,
         )
         if epoch_mistakes == 0:
             converged = True
@@ -240,16 +202,15 @@ def irl_train(
         converged=converged,
         epochs_run=epochs_run,
         mistakes_per_epoch=mistakes_per_epoch,
-        mistake_set_size=len(mistakes),
-        training_accuracy=_mistake_accuracy(model, mistakes),
+        mistake_set_size=len(mistake_phis),
+        training_accuracy=_mistake_accuracy(model, mistake_phis, mistake_labels),
     )
 
 
-def _mistake_accuracy(model: SvmModel, mistakes: MistakeSet) -> float:
-    if len(mistakes) == 0:
+def _mistake_accuracy(model: SvmModel, phis: list[np.ndarray], labels: list[float]) -> float:
+    if not phis:
         return 1.0
-    X, y = mistakes.arrays()
-    return svm_accuracy(model, X, y)
+    return svm_accuracy(model, np.asarray(phis), np.asarray(labels))
 
 
 @dataclass
@@ -317,7 +278,7 @@ def q_train(
                          "or all pairs sit beyond tau")
     forest = forest_fit(np.vstack(boot_X), np.concatenate(boot_y), forest_hyper)
 
-    buffer = ExperienceBuffer(train_cfg.buffer_capacity)
+    buffer: deque[Experience] = deque(maxlen=BUFFER_CAPACITY)
     episodes = config.epsilon_decay_episodes
     for i in range(episodes):
         album, gt = pairs[i % len(pairs)]
@@ -344,7 +305,7 @@ def _play_episode(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1) -
     pending = None  # (phi, action, reward) of the step awaiting its successor
     for step in episode(ctx, config, act, gt=gt, rng=rng):
         if pending is not None:
-            buffer.add(Experience(*pending, next_phi=step.phi, terminal=False))
+            buffer.append(Experience(*pending, next_phi=step.phi, terminal=False))
         if use_pm1:
             expert = ground_truth_action(step.state, step.candidate, gt, config.costs)
             r_short = 1.0 if step.action is expert else -1.0
@@ -352,16 +313,16 @@ def _play_episode(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1) -
             r_short = reward_short(svm, step.phi, step.action)
         pending = (step.phi, step.action, reward_total(r_short, step.r_long, config.beta))
     if pending is not None:
-        buffer.add(Experience(*pending, next_phi=None, terminal=True))
+        buffer.append(Experience(*pending, next_phi=None, terminal=True))
 
 
 def _refit(
     forest: ForestModel,
-    buffer: ExperienceBuffer,
+    buffer: deque[Experience],
     config: PolicyConfig,
     hyper: ForestHyper,
 ) -> ForestModel:
-    items = buffer.items()
+    items = list(buffer)
     if not items:
         return forest
     X = np.stack(

@@ -222,10 +222,13 @@ def test_malformed_forest_tree_is_schema_mismatch(tmp_path, small_config, capsys
         ("partitions", "groups", 5),
         ("partitions", "groups", [[["x"]]]),  # a group holds a list, not an id
         ("data", "quality", None),
+        ("data", "quality", "0.5"),
+        ("data", "quality", True),
         ("data", "item_id", ["x"]),
     ],
     ids=["dataset-record-is-a-list", "partitions-record-is-a-list", "groups-not-a-list",
-         "group-holds-a-list", "quality-null", "item-id-is-a-list"],
+         "group-holds-a-list", "quality-null", "quality-string", "quality-bool",
+         "item-id-is-a-list"],
 )
 def test_malformed_record_is_schema_mismatch(tmp_path, small_config, capsys, target, key, value):
     from facegroup.bench import load_dataset, save_partitions
@@ -260,3 +263,64 @@ def test_svm_seed_in_config_is_schema_mismatch(tmp_path, small_config, capsys):
          "--config", str(config)],
         capsys,
     )
+
+
+def train_argv(tmp_path, small_config, section, key, value):
+    """A train command on simulated data, with one config value set."""
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", small_config, "--out", data])
+    with open(small_config) as fh:
+        cfg = json.load(fh)
+    cfg.setdefault(section, {})[key] = value
+    config = tmp_path / "edited.json"
+    config.write_text(json.dumps(cfg))
+    return ["train", "--data", data, "--out-model", str(tmp_path / "m.json"),
+            "--config", str(config)]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("policy", "tau", 0),
+        ("train", "retrain_per_album", False),
+        ("train", "buffer_capacity", 10),
+        ("svm", "balanced", False),
+        ("forest", "twin", True),
+    ],
+)
+def test_bad_config_value_is_schema_mismatch(tmp_path, small_config, capsys, monkeypatch,
+                                             section, key, value):
+    # rejected while the config is read, before any training starts
+    from facegroup import train
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(train, "irl_train", no_training)
+    expect_schema_mismatch(train_argv(tmp_path, small_config, section, key, value), capsys)
+
+
+def test_train_without_svm_section_uses_documented_gamma(tmp_path, small_config):
+    with open(small_config) as fh:
+        cfg = json.load(fh)
+    del cfg["svm"]
+    # profiles and noise, so the mistakes hold both classes and SMO runs
+    cfg["sim"] = {"n_albums": 2, "seed": 31}
+    config = tmp_path / "no-svm.json"
+    config.write_text(json.dumps(cfg))
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", str(config), "--out", data])
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", data, "--out-model", str(model), "--stage", "irl",
+                "--config", str(config)]) == 0
+    assert json.loads(model.read_text())["gamma"] == 3.0
+
+
+@pytest.mark.parametrize("gamma", [None, 0.0])
+def test_svm_gamma_must_be_positive(tmp_path, small_config, capsys, gamma):
+    # null no longer stands for 1 / dim
+    argv = train_argv(tmp_path, small_config, "svm", "gamma", gamma)
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:invalid-argument:"), err

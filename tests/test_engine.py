@@ -103,8 +103,8 @@ class TestChooseAction:
         forest = self.make_forest()
         phi = np.array([0.7, 0.3])
         qm, qn = q_values(forest, phi)
-        assert forest.predict(np.append(phi, 1.0)) == pytest.approx(qm)
-        assert forest.predict(np.append(phi, -1.0)) == pytest.approx(qn)
+        assert forest.predict_many(np.append(phi, 1.0)[None])[0] == pytest.approx(qm)
+        assert forest.predict_many(np.append(phi, -1.0)[None])[0] == pytest.approx(qn)
 
 
 def two_cluster_album(n_per=3, labeled=True):
@@ -175,6 +175,31 @@ class TestRunEpisode:
         assert np.allclose(
             np.stack([s.phi for s in a.steps]), np.stack([s.phi for s in b.steps])
         )
+
+    def test_svm_scores_each_step_once(self, monkeypatch):
+        from facegroup.learn import SvmModel, random_svm
+
+        calls = []
+        decision_many = SvmModel.decision_many
+
+        def counted(model, X):
+            calls.append(len(X))
+            return decision_many(model, X)
+
+        monkeypatch.setattr(SvmModel, "decision_many", counted)
+        model = random_svm(22, seed=4)
+        trace = run_episode(two_cluster_album(labeled=False), model, PolicyConfig(tau=1.0))
+        assert trace.steps and calls == [1] * len(trace.steps)
+        for step in trace.steps:
+            margin = decision_many(model, step.phi[None])[0]
+            assert step.r_short == action_flag(step.action) * margin
+
+    def test_forest_r_short_is_positive_zero(self):
+        rng = np.random.Generator(np.random.PCG64(0))
+        forest = forest_fit(rng.random((40, 23)), rng.normal(size=40), ForestHyper(n_trees=3))
+        trace = run_episode(two_cluster_album(labeled=False), forest, PolicyConfig(tau=1.0))
+        assert Action.NOT_MERGE in {s.action for s in trace.steps}
+        assert all(str(s.r_short) == "0.0" for s in trace.steps)  # never -0.0
 
     def test_episode_bounded_by_pair_count(self):
         album = two_cluster_album(labeled=False)

@@ -20,7 +20,7 @@ from test_acceptance import PIPELINE_ARTIFACTS, PIPELINE_CONFIG, run_pipeline
 
 GOLDEN = {
     "data.jsonl": "15611f61ecf86c7c30a6a7a454bf7b2e3ba66a79cca810cdcc21b70907475f3c",
-    "model.json": "89db15240232a55d28b3323ad05f02f590d86fda675b5280c19055ab0e172aac",
+    "model.json": "8b850dae0194985394fcf92a9948e17ae146aeeae8d94d5f571c9daa8a036921",
     "model.json.svm.json": "1606dc3163ae95e2e3d8ca18f99d95bfb1b30252b3744baeeb445907d6ad6977",
     "parts.jsonl": "790f2e5ab8d5eb3953558b47944b5828f69fb38dd73eb579056d5a8424e76dbd",
     "report.json": "d94c4339e453cea4bab29ca03223775c60763bcba50ff04eed276d5fca850fb7",

@@ -109,7 +109,7 @@ class TestForest:
 
     def test_single_training_point(self):
         model = forest_fit(np.array([[1.0, 2.0]]), np.array([3.0]), ForestHyper(n_trees=3))
-        assert model.predict(np.array([9.9, -4.0])) == pytest.approx(3.0)
+        assert model.predict_many(np.array([[9.9, -4.0]]))[0] == pytest.approx(3.0)
 
     def test_step_function(self):
         X = np.linspace(0, 1, 200)[:, None]
@@ -146,7 +146,7 @@ class TestForest:
     def test_dimension_mismatch_on_predict(self):
         model = forest_fit(np.zeros((4, 3)), np.arange(4.0), ForestHyper(n_trees=2))
         with pytest.raises(ValueError, match="dimension"):
-            model.predict(np.zeros(5))
+            model.predict_many(np.zeros(5)[None])
 
     def test_reproducible_and_round_trip(self):
         rng = np.random.Generator(np.random.PCG64(6))
@@ -155,22 +155,10 @@ class TestForest:
         a = forest_fit(X, y, ForestHyper(seed=11))
         b = forest_fit(X, y, ForestHyper(seed=11))
         assert a.to_dict() == b.to_dict()
-        clone = ForestModel.from_dict(a.to_dict())
+        # model files written while the format still had a "twin" key load too
+        clone = ForestModel.from_dict({**a.to_dict(), "twin": False})
         probe = rng.normal(size=(50, 6))
         assert np.allclose(a.predict_many(probe), clone.predict_many(probe))
-
-    def test_twin_mode_roots_on_flag(self):
-        rng = np.random.Generator(np.random.PCG64(8))
-        X = rng.normal(size=(150, 6))
-        X[:, 5] = np.where(rng.random(150) < 0.5, 1.0, -1.0)
-        y = X[:, 5] * (X[:, 0] > 0)
-        model = forest_fit(
-            X, y, ForestHyper(n_trees=6, always_include=(5,), twin=True)
-        )
-        for tree in model.trees:
-            assert tree.feature[0] == 5 and tree.threshold[0] == 0.0
-        clone = ForestModel.from_dict(model.to_dict())
-        assert clone.hyper.twin
 
     def test_always_include_feature_used(self):
         # target depends only on the flag column; tiny feature_frac would

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from facegroup.core import Action, Album, State, transition
 from facegroup.features import AlbumContext, consistency, extract_features, quality_block
-from facegroup.recommend import PairQueue, RecommenderConfig, Strategy, recommend
+from facegroup.engine import PolicyConfig
+from facegroup.recommend import PairQueue, Strategy, recommend
 
 from conftest import make_item
 
@@ -38,7 +39,7 @@ def reference_distance(state, ctx, gid_a, gid_b, eta):
     return float((block_ab.sum() + block_ba.sum()) / (2 * eta))
 
 
-def reference_pairs(state, ctx, config, eta):
+def reference_pairs(state, ctx, tau, eta):
     """Brute-force scan of every live pair: those not yet recommended and
     within tau, as (gid_a, gid_b, distance) in ascending (gid_a, gid_b) order."""
     gids = sorted(state.partition.group_ids())
@@ -48,17 +49,17 @@ def reference_pairs(state, ctx, config, eta):
             if (gid_a, gid_b) in state.history.pairs:
                 continue
             dist = reference_distance(state, ctx, gid_a, gid_b, eta)
-            if dist <= config.tau:
+            if dist <= tau:
                 out.append((gid_a, gid_b, dist))
     return out
 
 
-def reference_pick(pairs, config, rng):
+def reference_pick(pairs, strategy, rng):
     """The scanned pair the strategy proposes: the closest (ties to the
     smallest ids), or for RANDOM one draw over the scan's order."""
     if not pairs:
         return None
-    if config.strategy is Strategy.RANDOM:
+    if strategy is Strategy.RANDOM:
         gid_a, gid_b, _ = pairs[int(rng.integers(len(pairs)))]
     else:
         gid_a, gid_b, _ = min(pairs, key=lambda p: (p[2], p[0], p[1]))
@@ -86,38 +87,41 @@ def three_singletons():
     return album, AlbumContext(album)
 
 
+HC = Strategy.HIERARCHICAL_NEAREST
+
+
 def test_tau_validation():
     with pytest.raises(ValueError, match="tau"):
-        RecommenderConfig(tau=0.0)
+        PolicyConfig(tau=0.0)
 
 
 def test_nearest_pair_returned_then_exhaustion(three_singletons):
     album, ctx = three_singletons
-    config = RecommenderConfig(tau=0.3)
+    queue = PairQueue(ctx, 5, 0.3)
     state = State.initial(3)
-    assert recommend(state, ctx, config, eta=5) == (0, 1)
+    assert recommend(state, queue, HC) == (0, 1)
     state = transition(state, (0, 1), Action.NOT_MERGE)
-    assert recommend(state, ctx, config, eta=5) is None
+    assert recommend(state, queue, HC) is None
 
 
 def test_two_groups_within_tau(three_singletons):
     album, ctx = three_singletons
     # group {0,1} vs {2}: block mean is 0.465, so tau must sit above it
-    config = RecommenderConfig(tau=0.5)
+    queue = PairQueue(ctx, 5, 0.5)
     state = State.initial(3)
     state = transition(state, (0, 1), Action.MERGE)
-    cand = recommend(state, ctx, config, eta=5)
+    cand = recommend(state, queue, HC)
     assert cand is not None
     state = transition(state, cand, Action.NOT_MERGE)
-    assert recommend(state, ctx, config, eta=5) is None
+    assert recommend(state, queue, HC) is None
 
 
 def test_never_repeats_history(three_singletons):
     album, ctx = three_singletons
-    config = RecommenderConfig(tau=1.0)
+    queue = PairQueue(ctx, 5, 1.0)
     state = State.initial(3)
     seen = set()
-    while (cand := recommend(state, ctx, config, eta=5)) is not None:
+    while (cand := recommend(state, queue, HC)) is not None:
         assert cand not in seen
         seen.add(cand)
         state = transition(state, cand, Action.NOT_MERGE)
@@ -126,11 +130,11 @@ def test_never_repeats_history(three_singletons):
 
 def test_episode_always_terminates(three_singletons):
     album, ctx = three_singletons
-    config = RecommenderConfig(tau=1.0)
+    queue = PairQueue(ctx, 5, 1.0)
     rng = np.random.Generator(np.random.PCG64(3))
     state = State.initial(3)
     for _ in range(100):
-        cand = recommend(state, ctx, config, eta=5)
+        cand = recommend(state, queue, HC)
         if cand is None:
             break
         action = Action.MERGE if rng.random() < 0.5 else Action.NOT_MERGE
@@ -141,53 +145,45 @@ def test_episode_always_terminates(three_singletons):
 
 def test_random_strategy_needs_rng(three_singletons):
     album, ctx = three_singletons
-    config = RecommenderConfig(strategy=Strategy.RANDOM, tau=1.0)
     with pytest.raises(ValueError, match="generator"):
-        recommend(State.initial(3), ctx, config, eta=5)
+        recommend(State.initial(3), PairQueue(ctx, 5, 1.0), Strategy.RANDOM)
 
 
 def test_random_strategy_only_returns_eligible(three_singletons):
     album, ctx = three_singletons
-    config = RecommenderConfig(strategy=Strategy.RANDOM, tau=0.3)
+    queue = PairQueue(ctx, 5, 0.3)
     rng = np.random.Generator(np.random.PCG64(0))
     for _ in range(20):
-        assert recommend(State.initial(3), ctx, config, eta=5, rng=rng) == (0, 1)
+        assert recommend(State.initial(3), queue, Strategy.RANDOM, rng) == (0, 1)
 
 
 def test_eligible_pairs_in_group_id_order(three_singletons):
     # RANDOM indexes into this list, so its order is part of the seeded behaviour
     album, ctx = three_singletons
-    config = RecommenderConfig(strategy=Strategy.RANDOM, tau=1.0)
-    queue = PairQueue(ctx, 5, config.tau)
+    queue = PairQueue(ctx, 5, 1.0)
     assert queue.eligible(State.initial(3)) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_deterministic_tie_break_on_group_ids():
     # two pairs at exactly the same distance: symmetric square on the circle
     album = planar_album([0.0, 0.2, 1.0, 1.2])
-    ctx = AlbumContext(album)
-    config = RecommenderConfig(tau=0.45)
-    cand = recommend(State.initial(4), ctx, config, eta=5)
+    cand = recommend(State.initial(4), PairQueue(AlbumContext(album), 5, 0.45), HC)
     assert cand == (0, 1)  # (2, 3) has the same distance; smaller ids win
 
 
 def test_hc_is_deterministic(three_singletons):
     album, ctx = three_singletons
-    config = RecommenderConfig(tau=0.6)
-    picks = {recommend(State.initial(3), ctx, config, eta=5) for _ in range(5)}
+    picks = {recommend(State.initial(3), PairQueue(ctx, 5, 0.6), HC) for _ in range(5)}
     assert picks == {(0, 1)}
 
 
 def test_queue_rejects_another_episode(three_singletons):
     album, ctx = three_singletons
-    config = RecommenderConfig(tau=1.0)
-    queue = PairQueue(ctx, 5, config.tau)
+    queue = PairQueue(ctx, 5, 1.0)
     state = transition(State.initial(3), (0, 1), Action.MERGE)
-    recommend(state, ctx, config, eta=5, queue=queue)
+    recommend(state, queue, HC)
     with pytest.raises(ValueError, match="episode"):
-        recommend(State.initial(3), ctx, config, eta=5, queue=queue)
-    with pytest.raises(ValueError, match="another"):
-        recommend(state, ctx, RecommenderConfig(tau=0.5), eta=5, queue=queue)
+        recommend(State.initial(3), queue, HC)
 
 
 @given(
@@ -215,15 +211,14 @@ def test_incremental_recommend_matches_reference_scan(seed, n, eta, tau, strateg
         ),
     )
     ctx = AlbumContext(album)
-    config = RecommenderConfig(strategy=strategy, tau=tau)
     queue = PairQueue(ctx, eta, tau)
     rng_inc = np.random.Generator(np.random.PCG64(seed + 1))
     rng_ref = np.random.Generator(np.random.PCG64(seed + 1))
     state = State.initial(n)
     while True:
-        pairs = reference_pairs(state, ctx, config, eta)
-        expected = reference_pick(pairs, config, rng_ref)
-        assert recommend(state, ctx, config, eta, rng=rng_inc, queue=queue) == expected
+        pairs = reference_pairs(state, ctx, tau, eta)
+        expected = reference_pick(pairs, strategy, rng_ref)
+        assert recommend(state, queue, strategy, rng=rng_inc) == expected
         assert rng_inc.bit_generator.state == rng_ref.bit_generator.state
         live = set(state.partition.group_ids())
         held = {(a, b): d for d, a, b in queue.heap if a in live and b in live}

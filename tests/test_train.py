@@ -5,15 +5,7 @@ from facegroup.bench import SimConfig, evaluate, simulate
 from facegroup.core import Action, Album, ground_truth_partition
 from facegroup.engine import PolicyConfig
 from facegroup.learn import SvmHyper
-from facegroup.train import (
-    ExperienceBuffer,
-    Experience,
-    MistakeSet,
-    TrainConfig,
-    expert_trajectory,
-    irl_train,
-    q_train,
-)
+from facegroup.train import TrainConfig, expert_trajectory, irl_train, q_train
 
 from conftest import make_item
 
@@ -33,27 +25,6 @@ def easy_sim(n_albums=3, seed=21):
             seed=seed,
         )
     )
-
-
-class TestMistakeSet:
-    def test_accumulates(self):
-        ms = MistakeSet(dim=3)
-        ms.add(np.zeros(3), Action.MERGE)
-        ms.add(np.ones(3), Action.NOT_MERGE)
-        assert len(ms) == 2
-        X, y = ms.arrays()
-        assert X.shape == (2, 3)
-        assert y.tolist() == [1.0, -1.0]
-        assert ms.has_both_classes()
-
-
-class TestExperienceBuffer:
-    def test_fifo_eviction(self):
-        buf = ExperienceBuffer(capacity=2)
-        for k in range(3):
-            buf.add(Experience(np.array([k]), Action.MERGE, 0.0, None, True))
-        assert len(buf) == 2
-        assert [int(e.phi[0]) for e in buf.items()] == [1, 2]
 
 
 class TestExpertTrajectory:
