@@ -7,7 +7,6 @@ from .core import (
     Album,
     CostModel,
     FaceItem,
-    History,
     Partition,
     State,
     ground_truth_action,
@@ -32,7 +31,6 @@ __all__ = [
     "FaceItem",
     "ForestHyper",
     "ForestModel",
-    "History",
     "OpResult",
     "Partition",
     "PolicyConfig",

@@ -1,11 +1,11 @@
 """Domain types for album grouping episodes.
 
 An episode walks a chain of immutable states: a partition of the album's
-items plus the history of group pairs already recommended. Groups are
-addressed by integer ids that are never reused within an episode, and a
-group's members never change under its id, so the history keys pairs by
-id: a group whose composition changed has a new id and counts as a new
-pair partner.
+items and the step count. Groups are addressed by integer ids that are
+never reused within an episode, and a group's members never change under
+its id, so a group whose composition changed has a new id and is a new
+pair partner. Which pairs were already recommended is the recommender's
+business: its queue consumes each pair it hands out.
 """
 
 from __future__ import annotations
@@ -96,22 +96,6 @@ class Album:
 
 
 @dataclass(frozen=True)
-class History:
-    """Set of group-id pairs already recommended, each stored as (low, high)."""
-
-    pairs: frozenset[tuple[int, int]] = frozenset()
-
-    def with_pair(self, gid_a: int, gid_b: int) -> "History":
-        key = (min(gid_a, gid_b), max(gid_a, gid_b))
-        if key in self.pairs:
-            raise ValueError(f"pair {key} already present in history")
-        return History(pairs=self.pairs | {key})
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
 class Partition:
     """Disjoint cover of item indices by non-empty groups.
 
@@ -185,44 +169,45 @@ class Partition:
             raise ValueError("cannot merge a group with itself")
         union = self.members(gid_a) | self.members(gid_b)
         new_gid = self.next_group_id
-        kept = tuple((g, m) for g, m in self.groups if g not in (gid_a, gid_b))
-        return (
-            Partition(groups=kept + ((new_gid, union),), next_group_id=new_gid + 1),
-            new_gid,
-        )
+        by_id = dict(self._by_id)
+        del by_id[gid_a], by_id[gid_b]
+        by_id[new_gid] = union
+        # valid by construction, so __post_init__'s whole-partition check is skipped
+        merged = object.__new__(Partition)
+        object.__setattr__(merged, "groups", tuple(by_id.items()))
+        object.__setattr__(merged, "next_group_id", new_gid + 1)
+        object.__setattr__(merged, "_by_id", by_id)
+        return merged, new_gid
 
 
 @dataclass(frozen=True)
 class State:
-    """MDP state: current partition plus recommendation history at step ``step``."""
+    """MDP state: the current partition at step ``step``."""
 
     partition: Partition
-    history: History
     step: int = 0
 
     @staticmethod
     def initial(n_items: int) -> "State":
-        return State(partition=Partition.from_singletons(n_items), history=History())
+        return State(partition=Partition.from_singletons(n_items))
 
 
 def transition(state: State, candidate: tuple[int, int], action: Action) -> State:
     """Apply one merge / not-merge decision, returning the successor state.
 
-    The input state is untouched. The candidate pair is appended to the
-    history either way; a merge replaces the two groups with their union
-    under a fresh group id.
+    The input state is untouched; a merge replaces the two groups with
+    their union under a fresh group id.
     """
     gid_a, gid_b = candidate
     state.partition.members(gid_a)  # rejects unknown ids
     state.partition.members(gid_b)
     if gid_a == gid_b:
         raise ValueError("candidate pair must name two distinct groups")
-    history = state.history.with_pair(gid_a, gid_b)
     if action is Action.MERGE:
         partition, _ = state.partition.merged(gid_a, gid_b)
     else:
         partition = state.partition
-    return State(partition=partition, history=history, step=state.step + 1)
+    return State(partition=partition, step=state.step + 1)
 
 
 def ground_truth_partition(album: Album) -> Partition:

@@ -258,6 +258,10 @@ class ForestHyper:
     # action flag of a Q-feature layout goes here)
     always_include: tuple[int, ...] = field(default_factory=tuple)
 
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+
 
 @dataclass
 class _Tree:

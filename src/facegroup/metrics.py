@@ -3,20 +3,14 @@
 The operation cost between a hypothesis partition and a target partition is
 the weighted number of add / remove / merge edits needed to turn one into
 the other. ``op_cost`` is a fast deterministic plan-based upper bound used
-as the training signal; ``op_cost_oracle`` is an exact shortest-path search
-feasible for small albums, kept to audit the estimator.
+as the training signal.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .core import CostModel, Partition
-
-
-class CapacityError(ValueError):
-    """Instance too large for an exact-search routine."""
 
 
 @dataclass(frozen=True)
@@ -89,62 +83,6 @@ def op_cost(h: Partition, g: Partition, costs: CostModel) -> OpResult:
         n_removes=n_removes,
         n_merges=n_merges,
     )
-
-
-def op_cost_oracle(
-    h: Partition,
-    g: Partition,
-    costs: CostModel,
-    max_items: int = 10,
-) -> float:
-    """Exact minimal edit cost via uniform-cost search over partition space.
-
-    Moves: merge any two groups (c_merge); remove an item from a group of
-    size >= 2, making it a singleton (c_remove); put a singleton into any
-    other group (c_add). Exponential state space, so the album size is
-    capped at ``max_items``.
-    """
-    _check_same_items(h, g)
-    n = h.n_items
-    if n > max_items:
-        raise CapacityError(f"oracle limited to {max_items} items, got {n}")
-
-    start = h.as_sets()
-    goal = g.as_sets()
-    if start == goal:
-        return 0.0
-
-    best: dict[frozenset, float] = {start: 0.0}
-    heap: list[tuple[float, int, frozenset]] = [(0.0, 0, start)]
-    tie = 0
-    while heap:
-        dist, _, part = heapq.heappop(heap)
-        if part == goal:
-            return dist
-        if dist > best.get(part, float("inf")):
-            continue
-        groups = list(part)
-        moves: list[tuple[float, frozenset]] = []
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                union = groups[a] | groups[b]
-                nxt = (part - {groups[a], groups[b]}) | {union}
-                cost = costs.c_merge
-                if len(groups[a]) == 1 or len(groups[b]) == 1:
-                    cost = min(cost, costs.c_add)
-                moves.append((cost, nxt))
-        for grp in groups:
-            if len(grp) >= 2:
-                for x in grp:
-                    nxt = (part - {grp}) | {grp - {x}, frozenset((x,))}
-                    moves.append((costs.c_remove, nxt))
-        for cost, nxt in moves:
-            cand = dist + cost
-            if cand < best.get(nxt, float("inf")):
-                best[nxt] = cand
-                tie += 1
-                heapq.heappush(heap, (cand, tie, nxt))
-    raise RuntimeError("goal partition unreachable")  # cannot happen
 
 
 def bcubed(pred: Partition, gt: Partition) -> BcubedScores:

@@ -1,15 +1,16 @@
 """Candidate-pair proposal strategies.
 
 A recommender turns the O(N^2) pair space into one candidate per step. A
-pair is eligible when its group-id pair has not been recommended before
-and its inter-group distance is at or below the threshold ``tau``; when no
-eligible pair remains the episode ends.
+pair is eligible when both its groups are live, it has not been proposed
+before and its inter-group distance is at or below the threshold ``tau``;
+when no eligible pair remains the episode ends.
 
 The eligible pairs are kept incrementally (the generic heap-based
 agglomerative algorithm of Muellner, arXiv:1109.2378). A pair's distance
 depends only on its two groups' members, which never change under a group
 id, so each pair is measured once, when the newer of its two groups
-appears, and stays valid while both ids are live.
+appears, and stays valid while both ids are live. A proposed pair leaves
+the queue, so each pair is proposed at most once per episode.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ class PairQueue:
     once when the group appears; ``label`` maps every item to its group's
     slot. ``extract_features`` reads a pair's features from these slots.
     A new group's distances to all older live groups are computed in one
-    ``pair_distance`` batch. Entries of
-    retired ids and of pairs in the history are dropped lazily, so asking
-    twice in one state gives the same answer. A queue follows one episode
-    forward; it rejects a partition that does not descend from the last one
-    it saw.
+    ``pair_distance`` batch. A pair handed out leaves the heap, and entries
+    of retired ids are dropped lazily. A queue follows one episode forward;
+    it rejects a partition that does not descend from the last one it saw.
     """
 
     def __init__(self, ctx: AlbumContext, eta: int, tau: float):
@@ -88,27 +87,33 @@ class PairQueue:
                 heapq.heappush(self.heap, (d, h, gid))
         self.next_gid = partition.next_group_id
 
-    def _pending(self, entry: tuple[float, int, int], seen: frozenset) -> bool:
-        _, gid_a, gid_b = entry
-        return gid_a in self.slot and gid_b in self.slot and (gid_a, gid_b) not in seen
-
     def nearest(self, state: State) -> tuple[int, int] | None:
-        """The closest eligible pair, ties to the smallest group-id pair."""
+        """Pop the closest eligible pair, ties to the smallest group-id pair."""
         self.sync(state.partition)
-        seen = state.history.pairs
         while self.heap:
-            if self._pending(self.heap[0], seen):
-                return self.heap[0][1:]
-            heapq.heappop(self.heap)
+            _, gid_a, gid_b = heapq.heappop(self.heap)
+            if gid_a in self.slot and gid_b in self.slot:
+                return gid_a, gid_b
         return None
 
     def eligible(self, state: State) -> list[tuple[int, int]]:
         """All eligible pairs in ascending (gid_a, gid_b) order."""
         self.sync(state.partition)
-        seen = state.history.pairs
-        self.heap = [e for e in self.heap if self._pending(e, seen)]
+        self.heap = [e for e in self.heap if e[1] in self.slot and e[2] in self.slot]
         heapq.heapify(self.heap)
         return sorted(e[1:] for e in self.heap)
+
+    def draw(self, state: State, rng: np.random.Generator | None) -> tuple[int, int] | None:
+        """Pop a uniform draw over the ``eligible`` list."""
+        pairs = self.eligible(state)
+        if not pairs:
+            return None
+        if rng is None:
+            raise ValueError("random strategy requires a seeded generator")
+        pair = pairs[int(rng.integers(len(pairs)))]
+        self.heap = [e for e in self.heap if e[1:] != pair]
+        heapq.heapify(self.heap)
+        return pair
 
 
 def recommend(
@@ -122,13 +127,9 @@ def recommend(
     HIERARCHICAL_NEAREST picks the closest eligible pair (ties to the
     smallest group-id pair); RANDOM picks uniformly among eligible pairs
     using the caller's generator. ``queue`` holds the episode's album, eta
-    and tau and carries the pair distances from step to step.
+    and tau and carries the pair distances from step to step; the pair
+    proposed leaves it, so the next call proposes another one.
     """
-    if strategy is not Strategy.RANDOM:
-        return queue.nearest(state)
-    pairs = queue.eligible(state)
-    if not pairs:
-        return None
-    if rng is None:
-        raise ValueError("random strategy requires a seeded generator")
-    return pairs[int(rng.integers(len(pairs)))]
+    if strategy is Strategy.RANDOM:
+        return queue.draw(state, rng)
+    return queue.nearest(state)

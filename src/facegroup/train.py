@@ -66,6 +66,10 @@ class TrainConfig:
     seed: int = 0
     reward_mode: str = "svm"  # "svm" uses the learned margin, "pm1" a +/-1 agreement loss
 
+    def __post_init__(self):
+        if self.reward_mode not in ("svm", "pm1"):
+            raise ValueError(f"reward_mode must be 'svm' or 'pm1', got {self.reward_mode!r}")
+
 
 @dataclass
 class Experience:

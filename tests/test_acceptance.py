@@ -23,9 +23,11 @@ from facegroup.cli import main as cli_main
 from facegroup.core import CostModel, Partition, ground_truth_partition
 from facegroup.engine import PolicyConfig
 from facegroup.learn import SvmHyper
-from facegroup.metrics import bcubed, op_cost, op_cost_oracle
+from facegroup.metrics import bcubed, op_cost
 from facegroup.recommend import Strategy
 from facegroup.train import TrainConfig, expert_trajectory, irl_train, q_train
+
+from oracle import op_cost_oracle
 
 COSTS = CostModel()  # (1, 6, 1)
 SVM_HYPER = SvmHyper(c_reg=10.0, gamma=3.0)

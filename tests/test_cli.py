@@ -316,10 +316,17 @@ def test_train_without_svm_section_uses_documented_gamma(tmp_path, small_config)
     assert json.loads(model.read_text())["gamma"] == 3.0
 
 
-@pytest.mark.parametrize("gamma", [None, 0.0])
-def test_svm_gamma_must_be_positive(tmp_path, small_config, capsys, gamma):
-    # null no longer stands for 1 / dim
-    argv = train_argv(tmp_path, small_config, "svm", "gamma", gamma)
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("svm", "gamma", None),  # null no longer stands for 1 / dim
+        ("svm", "gamma", 0.0),
+        ("train", "reward_mode", "pm-1"),
+        ("forest", "n_trees", 0),
+    ],
+)
+def test_config_value_out_of_range(tmp_path, small_config, capsys, section, key, value):
+    argv = train_argv(tmp_path, small_config, section, key, value)
     capsys.readouterr()
     assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()

@@ -6,15 +6,10 @@ from hypothesis import strategies as st
 from facegroup.core import Action, Album, CostModel, Partition
 from facegroup.engine import PolicyConfig, episode
 from facegroup.features import AlbumContext
-from facegroup.metrics import (
-    CapacityError,
-    bcubed,
-    normalized_op,
-    op_cost,
-    op_cost_oracle,
-)
+from facegroup.metrics import bcubed, normalized_op, op_cost
 
 from conftest import make_item
+from oracle import CapacityError, op_cost_oracle
 
 COSTS = CostModel()
 

@@ -39,14 +39,20 @@ def reference_distance(state, ctx, gid_a, gid_b, eta):
     return float((block_ab.sum() + block_ba.sum()) / (2 * eta))
 
 
-def reference_pairs(state, ctx, tau, eta):
-    """Brute-force scan of every live pair: those not yet recommended and
-    within tau, as (gid_a, gid_b, distance) in ascending (gid_a, gid_b) order."""
+def by_content(state, gid_a, gid_b):
+    """A pair keyed by its two member sets instead of its group ids."""
+    return frozenset({state.partition.members(gid_a), state.partition.members(gid_b)})
+
+
+def reference_pairs(state, ctx, tau, eta, consumed):
+    """Brute-force scan of every live pair: those within tau whose pair of
+    member sets is not in ``consumed``, as (gid_a, gid_b, distance) in
+    ascending (gid_a, gid_b) order."""
     gids = sorted(state.partition.group_ids())
     out = []
     for i, gid_a in enumerate(gids):
         for gid_b in gids[i + 1 :]:
-            if (gid_a, gid_b) in state.history.pairs:
+            if by_content(state, gid_a, gid_b) in consumed:
                 continue
             dist = reference_distance(state, ctx, gid_a, gid_b, eta)
             if dist <= tau:
@@ -151,10 +157,25 @@ def test_random_strategy_needs_rng(three_singletons):
 
 def test_random_strategy_only_returns_eligible(three_singletons):
     album, ctx = three_singletons
-    queue = PairQueue(ctx, 5, 0.3)
     rng = np.random.Generator(np.random.PCG64(0))
     for _ in range(20):
+        queue = PairQueue(ctx, 5, 0.3)
         assert recommend(State.initial(3), queue, Strategy.RANDOM, rng) == (0, 1)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_asking_again_returns_the_next_pair(three_singletons, strategy):
+    # within tau 0.45: (0, 1) at 0.1 and (1, 2) at 0.4; (0, 2) is too far
+    album, ctx = three_singletons
+    queue = PairQueue(ctx, 5, 0.45)
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = State.initial(3)
+    first = recommend(state, queue, strategy, rng)
+    second = recommend(state, queue, strategy, rng)
+    assert {first, second} == {(0, 1), (1, 2)}
+    if strategy is HC:
+        assert (first, second) == ((0, 1), (1, 2))
+    assert recommend(state, queue, strategy, rng) is None
 
 
 def test_eligible_pairs_in_group_id_order(three_singletons):
@@ -199,7 +220,11 @@ def test_incremental_recommend_matches_reference_scan(seed, n, eta, tau, strateg
     """One queue carried through a random episode proposes, at every step,
     the pair the brute-force scan picks, with the same generator draws;
     every distance it holds equals the scalar reference bit for bit, and so
-    do the candidate's features read from its slots."""
+    do the candidate's features read from its slots. The scan never offers
+    the same pair of member sets twice, and after each proposal the queue
+    holds exactly the scan's other live pairs: consumption keyed on group
+    ids equals consumption keyed on content, because ids are never reused
+    and a group's members never change under its id."""
     rng = np.random.Generator(np.random.PCG64(seed))
     # few directions, so tied distances and near-duplicates occur
     directions = rng.normal(size=(int(rng.integers(1, n + 1)), 3))
@@ -215,8 +240,9 @@ def test_incremental_recommend_matches_reference_scan(seed, n, eta, tau, strateg
     rng_inc = np.random.Generator(np.random.PCG64(seed + 1))
     rng_ref = np.random.Generator(np.random.PCG64(seed + 1))
     state = State.initial(n)
+    consumed: set[frozenset[frozenset[int]]] = set()
     while True:
-        pairs = reference_pairs(state, ctx, tau, eta)
+        pairs = reference_pairs(state, ctx, tau, eta, consumed)
         expected = reference_pick(pairs, strategy, rng_ref)
         assert recommend(state, queue, strategy, rng=rng_inc) == expected
         assert rng_inc.bit_generator.state == rng_ref.bit_generator.state
@@ -224,9 +250,10 @@ def test_incremental_recommend_matches_reference_scan(seed, n, eta, tau, strateg
         held = {(a, b): d for d, a, b in queue.heap if a in live and b in live}
         for (gid_a, gid_b), dist in held.items():
             assert dist == reference_distance(state, ctx, gid_a, gid_b, eta)
-        assert {(a, b) for a, b, _ in pairs} <= held.keys()
+        assert held.keys() == {(a, b) for a, b, _ in pairs} - {expected}
         if expected is None:
             break
+        consumed.add(by_content(state, *expected))
         for use_quality in (True, False):
             phi = extract_features(state, expected, queue, use_quality)
             ref = reference_features(state, ctx, *expected, eta, use_quality)
