@@ -191,6 +191,40 @@ def test_merged_partition_equals_validated_one(n, merges):
         assert part.item_indices() == frozenset(range(n))
 
 
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    moves=st.lists(
+        st.tuples(st.integers(0, 100), st.integers(0, 100), st.booleans()), max_size=20
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_history_id_key_matches_member_sets(n, moves):
+    """A record of proposed pairs keyed by group ids, as the recommender's
+    queue keeps one, holds a live id pair exactly when the pair of member
+    sets it names was proposed before: ids are never reused and a group's
+    members never change under its id."""
+    state = State.initial(n)
+    by_id: set[tuple[int, int]] = set()
+    by_members: set[frozenset[frozenset[int]]] = set()  # reference, keyed by content
+
+    def by_content(a, b):
+        return frozenset({state.partition.members(a), state.partition.members(b)})
+
+    for a, b, merge in moves:
+        gids = sorted(state.partition.group_ids())
+        if len(gids) < 2:
+            break
+        for i, x in enumerate(gids):
+            for y in gids[i + 1 :]:
+                assert ((x, y) in by_id) == (by_content(x, y) in by_members)
+        cand = (gids[a % len(gids)], gids[b % len(gids)])
+        if cand[0] == cand[1]:
+            continue
+        by_id.add((min(cand), max(cand)))
+        by_members.add(by_content(*cand))
+        state = transition(state, cand, Action.MERGE if merge else Action.NOT_MERGE)
+
+
 class TestGroundTruthPartition:
     def test_noise_items_become_singletons(self):
         album = Album(
