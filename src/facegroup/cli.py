@@ -59,11 +59,18 @@ def _parse_costs(text: str) -> CostModel:
         raise CliError("invalid-argument", f"bad --costs value: {exc}") from None
 
 
-def _build(cls, section: dict, **overrides):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - known
+def _section(doc: dict, name: str, cls) -> dict:
+    """A copy of one config section, an object whose keys are fields of ``cls``."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise CliError("schema-mismatch", f"config section {name!r} must be a JSON object")
+    unknown = set(section) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise CliError("schema-mismatch", f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    return dict(section)
+
+
+def _build(cls, section: dict, **overrides):
     merged = {**section, **{k: v for k, v in overrides.items() if v is not None}}
     try:
         return cls(**merged)
@@ -72,10 +79,11 @@ def _build(cls, section: dict, **overrides):
 
 
 def _policy_config(doc: dict, args) -> PolicyConfig:
+    section = _section(doc, "policy", PolicyConfig)
     try:
-        config = PolicyConfig.from_dict(doc.get("policy", {}))
+        config = PolicyConfig.from_dict(section)
     except (TypeError, ValueError) as exc:
-        raise CliError("schema-mismatch", f"bad policy section: {exc}") from None
+        raise CliError("invalid-argument", f"bad policy section: {exc}") from None
     overrides = {}
     if getattr(args, "costs", None):
         overrides["costs"] = _parse_costs(args.costs)
@@ -112,7 +120,7 @@ def _load_model(path: str):
 
 def cmd_simulate(args) -> int:
     doc = _load_config_file(args.config)
-    sim_section = dict(doc.get("sim", {}))
+    sim_section = _section(doc, "sim", bench.SimConfig)
     if args.seed is not None:
         sim_section["seed"] = args.seed
     sim_cfg = _build(bench.SimConfig, sim_section)
@@ -127,12 +135,13 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     doc = _load_config_file(args.config)
     policy_cfg = _policy_config(doc, args)
-    svm_hyper = _build(SvmHyper, doc.get("svm", {}))
-    forest_section = dict(doc.get("forest", {}))
+    svm_hyper = _build(SvmHyper, _section(doc, "svm", SvmHyper))
+    forest_section = _section(doc, "forest", ForestHyper)
     if "always_include" in forest_section:
         forest_section["always_include"] = tuple(forest_section["always_include"])
     forest_hyper = _build(ForestHyper, forest_section, seed=args.seed)
-    train_cfg = _build(train_mod.TrainConfig, doc.get("train", {}), seed=args.seed,
+    train_section = _section(doc, "train", train_mod.TrainConfig)
+    train_cfg = _build(train_mod.TrainConfig, train_section, seed=args.seed,
                        reward_mode=args.reward_mode)
     albums = _load_dataset(args.data, args.normalize)
 

@@ -8,6 +8,7 @@ file format lives in ``bench``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,10 @@ class SvmModel:
     def dim(self) -> int:
         return self.support_vectors.shape[1]
 
+    @cached_property
+    def _sv_sq(self) -> np.ndarray:
+        return (self.support_vectors**2).sum(axis=1)
+
     def decision(self, x: np.ndarray) -> float:
         return float(self.decision_many(np.asarray(x, dtype=np.float64)[None, :])[0])
 
@@ -51,7 +56,7 @@ class SvmModel:
             raise ValueError(f"expected dimension {self.dim}, got {X.shape[1]}")
         sq = (
             (X**2).sum(axis=1)[:, None]
-            + (self.support_vectors**2).sum(axis=1)[None, :]
+            + self._sv_sq[None, :]
             - 2.0 * X @ self.support_vectors.T
         )
         K = np.exp(-self.gamma * np.maximum(sq, 0.0))
@@ -264,30 +269,23 @@ class ForestHyper:
 
 
 @dataclass
-class _Tree:
-    feature: np.ndarray  # -1 marks a leaf
+class ForestModel:
+    """Mean of independently grown regression trees, packed into one node
+    table so that every tree descends at once.
+
+    Tree t owns nodes ``roots[t]:roots[t + 1]`` and its child indices are
+    shifted by ``roots[t]``. A leaf is its own left and right child and
+    reads column 0, so a row that reaches one stays there while the other
+    trees go on descending.
+    """
+
+    feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[node] >= 0
-        while active.any():
-            idx = np.where(active)[0]
-            cur = node[idx]
-            go_left = X[idx, self.feature[cur]] <= self.threshold[cur]
-            node[idx] = np.where(go_left, self.left[cur], self.right[cur])
-            active = self.feature[node] >= 0
-        return self.value[node]
-
-
-@dataclass
-class ForestModel:
-    """Mean of independently grown regression trees."""
-
-    trees: list
+    leaf: np.ndarray
+    roots: np.ndarray  # n_trees + 1 node offsets
     dim: int
     hyper: ForestHyper
 
@@ -295,12 +293,28 @@ class ForestModel:
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {X.shape[1]}")
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += tree.apply(X)
-        return acc / len(self.trees)
+        rows = np.arange(X.shape[0])
+        node = np.repeat(self.roots[:-1, None], X.shape[0], axis=1)  # (tree, row)
+        while not self.leaf[node].all():
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        # a running sum from +0.0 in tree order (accumulate adds one row at a
+        # time), so each mean rounds, and signs a zero, as it always has
+        values = np.vstack([np.zeros(X.shape[0]), self.value[node]])
+        return np.add.accumulate(values)[-1] / (values.shape[0] - 1)
 
     def to_dict(self) -> dict:
+        trees = []
+        for t in range(self.roots.shape[0] - 1):
+            lo, hi = self.roots[t], self.roots[t + 1]
+            leaf = self.leaf[lo:hi]
+            trees.append({
+                "feature": np.where(leaf, -1, self.feature[lo:hi]).tolist(),
+                "threshold": self.threshold[lo:hi].tolist(),
+                "left": np.where(leaf, -1, self.left[lo:hi] - lo).tolist(),
+                "right": np.where(leaf, -1, self.right[lo:hi] - lo).tolist(),
+                "value": self.value[lo:hi].tolist(),
+            })
         return {
             "dim": self.dim,
             "n_trees": self.hyper.n_trees,
@@ -309,16 +323,7 @@ class ForestModel:
             "feature_frac": self.hyper.feature_frac,
             "seed": self.hyper.seed,
             "always_include": list(self.hyper.always_include),
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "value": t.value.tolist(),
-                }
-                for t in self.trees
-            ],
+            "trees": trees,
         }
 
     @staticmethod
@@ -335,32 +340,57 @@ class ForestModel:
         trees = [_tree_from_dict(t, dim) for t in d["trees"]]
         if not trees:
             raise ValueError("forest has no trees")
-        return ForestModel(trees=trees, dim=dim, hyper=hyper)
+        return _pack(trees, dim, hyper)
 
 
-def _tree_from_dict(t: dict, dim: int) -> _Tree:
-    """One serialized tree, checked so that ``_Tree.apply`` terminates and
-    reads only real columns: every split node's children come after it in
-    the arrays (as ``_grow_tree`` lays them out), so a descent only moves
-    forward and ends at a leaf."""
-    tree = _Tree(
-        feature=np.asarray(t["feature"], dtype=np.int64),
-        threshold=np.asarray(t["threshold"], dtype=np.float64),
-        left=np.asarray(t["left"], dtype=np.int64),
-        right=np.asarray(t["right"], dtype=np.int64),
-        value=np.asarray(t["value"], dtype=np.float64),
+def _pack(trees: list[dict], dim: int, hyper: ForestHyper) -> ForestModel:
+    """One node table from per-tree arrays laid out as ``_grow_tree`` writes
+    them (a leaf has feature, left and right -1)."""
+    sizes = [t["feature"].shape[0] for t in trees]
+    roots = np.concatenate([[0], np.cumsum(sizes)])
+    shift = np.repeat(roots[:-1], sizes)
+    node = np.arange(roots[-1])
+
+    def cat(key):
+        return np.concatenate([t[key] for t in trees])
+
+    leaf = cat("feature") < 0
+    return ForestModel(
+        feature=np.where(leaf, 0, cat("feature")),
+        threshold=cat("threshold"),
+        left=np.where(leaf, node, cat("left") + shift),
+        right=np.where(leaf, node, cat("right") + shift),
+        value=cat("value"),
+        leaf=leaf,
+        roots=roots,
+        dim=dim,
+        hyper=hyper,
     )
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
-    if n == 0 or any(a.shape != (n,) for a in arrays):
+
+
+def _tree_from_dict(t: dict, dim: int) -> dict:
+    """One serialized tree, checked before packing so that a descent
+    terminates and reads only real columns: every split node's children
+    come after it inside its own tree (as ``_grow_tree`` lays them out), so
+    a descent only moves forward and ends at a leaf of that tree."""
+    tree = {
+        "feature": np.asarray(t["feature"], dtype=np.int64),
+        "threshold": np.asarray(t["threshold"], dtype=np.float64),
+        "left": np.asarray(t["left"], dtype=np.int64),
+        "right": np.asarray(t["right"], dtype=np.int64),
+        "value": np.asarray(t["value"], dtype=np.float64),
+    }
+    n = tree["feature"].shape[0] if tree["feature"].ndim == 1 else 0
+    if n == 0 or any(a.shape != (n,) for a in tree.values()):
         raise ValueError("tree arrays must be 1-d, non-empty and of one length")
-    if ((tree.feature < -1) | (tree.feature >= dim)).any():
+    feature = tree["feature"]
+    if ((feature < -1) | (feature >= dim)).any():
         raise ValueError(f"tree feature index outside [0, {dim}) and not -1 (leaf)")
-    split = np.flatnonzero(tree.feature >= 0)
-    for child in (tree.left[split], tree.right[split]):
+    split = np.flatnonzero(feature >= 0)
+    for child in (tree["left"][split], tree["right"][split]):
         if ((child <= split) | (child >= n)).any():
             raise ValueError("tree child index must come after its parent, inside the tree")
-    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+    if not (np.isfinite(tree["threshold"]).all() and np.isfinite(tree["value"]).all()):
         raise ValueError("tree thresholds and values must be finite")
     return tree
 
@@ -401,7 +431,9 @@ def _best_split(Xn, yn, feats, min_leaf):
     return int(feats[fi]), float(threshold)
 
 
-def _grow_tree(X, y, hyper: ForestHyper, rng: np.random.Generator) -> _Tree:
+def _grow_tree(X, y, hyper: ForestHyper, rng: np.random.Generator) -> dict:
+    """One bootstrap tree as per-tree arrays; leaves have feature, left and
+    right -1, and children come after their parent."""
     n, d = X.shape
     rows = rng.integers(0, n, size=n)  # bootstrap sample
     pool = np.array([f for f in range(d) if f not in hyper.always_include])
@@ -447,13 +479,13 @@ def _grow_tree(X, y, hyper: ForestHyper, rng: np.random.Generator) -> _Tree:
         stack.append((r_id, idx[~go_left], depth + 1))
         stack.append((l_id, idx[go_left], depth + 1))
 
-    return _Tree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.asarray(value, dtype=np.float64),
-    )
+    return {
+        "feature": np.asarray(feature, dtype=np.int64),
+        "threshold": np.asarray(threshold, dtype=np.float64),
+        "left": np.asarray(left, dtype=np.int64),
+        "right": np.asarray(right, dtype=np.int64),
+        "value": np.asarray(value, dtype=np.float64),
+    }
 
 
 def forest_fit(X: np.ndarray, y: np.ndarray, hyper: ForestHyper = ForestHyper()) -> ForestModel:
@@ -468,4 +500,4 @@ def forest_fit(X: np.ndarray, y: np.ndarray, hyper: ForestHyper = ForestHyper())
     trees = [
         _grow_tree(X, y, hyper, np.random.Generator(np.random.PCG64(s))) for s in seeds
     ]
-    return ForestModel(trees=trees, dim=X.shape[1], hyper=hyper)
+    return _pack(trees, X.shape[1], hyper)

@@ -337,10 +337,10 @@ def _refit(
         non_terminal = [k for k, e in enumerate(items) if not e.terminal]
         if non_terminal:
             next_phis = np.stack([items[k].next_phi for k in non_terminal])
-            merged = np.hstack([next_phis, np.ones((len(non_terminal), 1))])
-            declined = np.hstack([next_phis, -np.ones((len(non_terminal), 1))])
-            best_next = np.maximum(
-                forest.predict_many(merged), forest.predict_many(declined)
-            )
+            m = len(non_terminal)
+            # merge rows then not-merge rows, in one batched prediction
+            flags = np.concatenate([np.ones(m), -np.ones(m)])[:, None]
+            q = forest.predict_many(np.hstack([np.vstack([next_phis, next_phis]), flags]))
+            best_next = np.maximum(q[:m], q[m:])
             targets[non_terminal] += config.gamma * best_next
     return forest_fit(X, targets, hyper)

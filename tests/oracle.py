@@ -1,14 +1,19 @@
-"""Exact operation cost for small albums, the audit of ``metrics.op_cost``.
+"""Slow references that the tests audit fast paths against.
 
 ``op_cost_oracle`` searches partition space for the cheapest edit sequence,
-so it is exponential in the album size and serves only the tests.
+so it is exponential in the album size; it audits ``metrics.op_cost``.
+``forest_predict_reference`` descends a forest one tree at a time; it
+audits the packed ``ForestModel.predict_many``.
 """
 
 from __future__ import annotations
 
 import heapq
 
+import numpy as np
+
 from facegroup.core import CostModel, Partition
+from facegroup.learn import ForestModel
 
 
 class CapacityError(ValueError):
@@ -70,3 +75,28 @@ def op_cost_oracle(
                 tie += 1
                 heapq.heappush(heap, (cand, tie, nxt))
     raise RuntimeError("goal partition unreachable")  # cannot happen
+
+
+def forest_predict_reference(model: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Forest mean from the serialized trees, one tree at a time: a running
+    sum from +0.0 in tree order, divided by the tree count."""
+    X = np.asarray(X, dtype=np.float64)
+    trees = model.to_dict()["trees"]
+    acc = np.zeros(X.shape[0])
+    for tree in trees:
+        acc += _tree_apply({key: np.asarray(v) for key, v in tree.items()}, X)
+    return acc / len(trees)
+
+
+def _tree_apply(tree: dict, X: np.ndarray) -> np.ndarray:
+    """Leaf value of each row in one tree whose leaves have feature -1."""
+    feature, threshold = tree["feature"], tree["threshold"]
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    active = feature[node] >= 0
+    while active.any():
+        idx = np.where(active)[0]
+        cur = node[idx]
+        go_left = X[idx, feature[cur]] <= threshold[cur]
+        node[idx] = np.where(go_left, tree["left"][cur], tree["right"][cur])
+        active = feature[node] >= 0
+    return tree["value"][node]

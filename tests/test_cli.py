@@ -179,12 +179,14 @@ def test_model_missing_key_is_schema_mismatch(tmp_path, small_config, capsys, dr
 @pytest.mark.parametrize(
     "corrupt",
     [
-        {"left": 0},  # the root's left child is the root: apply never ends
+        {"left": 0},  # the root's left child is the root: a descent never ends
         {"right": 10**6},  # child outside the tree
         {"feature": 23},  # no such column in a 23-wide Q row
         {"value": float("nan")},
+        {"right": None},  # tree 0's own length: a valid node of the packed forest
     ],
-    ids=["cycle", "child-out-of-range", "feature-out-of-range", "nan-value"],
+    ids=["cycle", "child-out-of-range", "feature-out-of-range", "nan-value",
+         "child-in-next-tree"],
 )
 def test_malformed_forest_tree_is_schema_mismatch(tmp_path, small_config, capsys, corrupt):
     import numpy as np
@@ -204,7 +206,7 @@ def test_malformed_forest_tree_is_schema_mismatch(tmp_path, small_config, capsys
     doc = json.loads(model.read_text())
     assert doc["trees"][0]["feature"][0] >= 0  # the root splits
     for key, value in corrupt.items():
-        doc["trees"][0][key][0] = value
+        doc["trees"][0][key][0] = len(doc["trees"][0][key]) if value is None else value
     model.write_text(json.dumps(doc))
     expect_schema_mismatch(
         ["group", "--data", data, "--model", str(model),
@@ -281,7 +283,7 @@ def train_argv(tmp_path, small_config, section, key, value):
 @pytest.mark.parametrize(
     "section, key, value",
     [
-        ("policy", "tau", 0),
+        ("policy", "bogus", 1),
         ("train", "retrain_per_album", False),
         ("train", "buffer_capacity", 10),
         ("svm", "balanced", False),
@@ -298,6 +300,22 @@ def test_bad_config_value_is_schema_mismatch(tmp_path, small_config, capsys, mon
 
     monkeypatch.setattr(train, "irl_train", no_training)
     expect_schema_mismatch(train_argv(tmp_path, small_config, section, key, value), capsys)
+
+
+@pytest.mark.parametrize("section", ["policy", "svm", "forest", "train", "sim"])
+def test_config_section_not_an_object_is_schema_mismatch(tmp_path, small_config, capsys,
+                                                         section):
+    # sections are read before the data file, which does not exist here
+    with open(small_config) as fh:
+        cfg = json.load(fh)
+    cfg[section] = 5
+    config = str(tmp_path / "edited.json")
+    with open(config, "w") as fh:
+        json.dump(cfg, fh)
+    argv = (["simulate", "--out", str(tmp_path / "d.jsonl")] if section == "sim" else
+            ["train", "--data", str(tmp_path / "absent.jsonl"),
+             "--out-model", str(tmp_path / "m.json")])
+    expect_schema_mismatch(argv + ["--config", config], capsys)
 
 
 def test_train_without_svm_section_uses_documented_gamma(tmp_path, small_config):
@@ -323,6 +341,7 @@ def test_train_without_svm_section_uses_documented_gamma(tmp_path, small_config)
         ("svm", "gamma", 0.0),
         ("train", "reward_mode", "pm-1"),
         ("forest", "n_trees", 0),
+        ("policy", "tau", 0),
     ],
 )
 def test_config_value_out_of_range(tmp_path, small_config, capsys, section, key, value):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facegroup.learn import (
     ForestHyper,
@@ -10,6 +12,7 @@ from facegroup.learn import (
     random_svm,
     svm_fit,
 )
+from oracle import forest_predict_reference
 
 
 class TestSvmFit:
@@ -135,9 +138,9 @@ class TestForest:
         y = rng.normal(size=40)
         # min_leaf larger than half the sample: no split is admissible
         stumps = forest_fit(X, y, ForestHyper(n_trees=5, min_leaf=25))
-        assert all(t.feature.max() == -1 for t in stumps.trees)
+        assert all(max(t["feature"]) == -1 for t in stumps.to_dict()["trees"])
         grown = forest_fit(X, y, ForestHyper(n_trees=5, min_leaf=1))
-        assert any(t.feature.max() >= 0 for t in grown.trees)
+        assert any(max(t["feature"]) >= 0 for t in grown.to_dict()["trees"])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -171,3 +174,57 @@ class TestForest:
         model = forest_fit(X, y, hyper)
         mse = float(np.mean((model.predict_many(X) - y) ** 2))
         assert mse < 0.05
+
+
+def assert_same_bits(fast, reference):
+    assert np.array_equal(fast, reference)
+    assert np.array_equal(np.signbit(fast), np.signbit(reference))
+
+
+# Half-integer grid: a split between two integer training values sits on a
+# half-integer, so probe rows land exactly on thresholds.
+GRID = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+
+
+@given(
+    data=st.data(),
+    dim=st.integers(1, 4),
+    n_train=st.integers(1, 40),
+    n_probe=st.sampled_from([1, 2, 57]),
+    hyper=st.builds(
+        ForestHyper,
+        n_trees=st.integers(1, 16),  # over 8 trees, a numpy sum would go pairwise
+        max_depth=st.integers(1, 6),
+        min_leaf=st.integers(1, 3),
+        feature_frac=st.sampled_from([0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_packed_forest_matches_tree_by_tree_reference(data, dim, n_train, n_probe, hyper):
+    X = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 3).map(float), min_size=dim, max_size=dim),
+        min_size=n_train, max_size=n_train)))
+    y = np.array(data.draw(st.lists(
+        st.sampled_from([-0.0, 0.0, 1.0, -2.5, 4.25]), min_size=n_train, max_size=n_train)))
+    probe = np.array(data.draw(st.lists(
+        st.lists(GRID, min_size=dim, max_size=dim), min_size=n_probe, max_size=n_probe)))
+    model = forest_fit(X, y, hyper)
+    assert_same_bits(model.predict_many(probe), forest_predict_reference(model, probe))
+    loaded = ForestModel.from_dict(model.to_dict())
+    assert_same_bits(loaded.predict_many(probe), forest_predict_reference(model, probe))
+
+
+def test_negative_zero_leaves_average_to_positive_zero():
+    split = {"feature": [1, -1, -1], "threshold": [0.5, 0.0, 0.0],
+             "left": [1, -1, -1], "right": [2, -1, -1], "value": [-0.0, -0.0, -0.0]}
+    stump = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+             "value": [-0.0]}
+    model = ForestModel.from_dict({
+        "dim": 2, "n_trees": 3, "max_depth": 1, "min_leaf": 1, "feature_frac": 1.0,
+        "seed": 0, "always_include": [], "trees": [split, stump, split],
+    })
+    probe = np.array([[0.0, 0.5], [0.0, 1.0], [3.0, -1.0]])
+    out = model.predict_many(probe)
+    assert_same_bits(out, forest_predict_reference(model, probe))
+    assert not np.signbit(out).any()
