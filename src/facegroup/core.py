@@ -241,12 +241,9 @@ def ground_truth_action(
 ) -> Action:
     """Expert decision for a candidate pair: merge iff it strictly lowers the
     remaining operation cost toward the ground-truth partition."""
-    from .metrics import op_cost
+    from .metrics import op_cost_before_after_merge
 
     if gt.item_indices() != state.partition.item_indices():
         raise ValueError("ground truth covers a different item set")
-    gid_a, gid_b = candidate
-    merged, _ = state.partition.merged(gid_a, gid_b)
-    cost_now = op_cost(state.partition, gt, costs).total_cost
-    cost_merged = op_cost(merged, gt, costs).total_cost
+    cost_now, cost_merged = op_cost_before_after_merge(state.partition, gt, costs, *candidate)
     return Action.MERGE if cost_merged < cost_now else Action.NOT_MERGE

@@ -25,8 +25,11 @@ class SvmHyper:
     max_passes: int = 50  # pair updates allowed per training sample
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        for name in ("c_reg", "gamma", "tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.max_passes < 1:
+            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
 
 
 @dataclass
@@ -159,45 +162,54 @@ def svm_fit(X: np.ndarray, y: np.ndarray, hyper: SvmHyper = SvmHyper()) -> SvmMo
     def krow(i: int) -> np.ndarray:
         return K[i] if K is not None else _kernel_rows(X, sq, hyper.gamma, i)
 
-    alpha = np.zeros(n)
-    E = -y.copy()  # f(x_i) - y_i with f = 0 initially (bias excluded from f)
-    pos = y > 0
+    # The pair step reads Python floats, which are cheaper than numpy
+    # scalars. F is the negated error -(f(x_i) - y_i), f = 0 initially (bias
+    # excluded from f); negation rounds symmetrically, so updating F
+    # directly gives every value the error form would.
+    eps = 1e-12
+    is_pos = y > 0
+    pos, y_l, C_l = is_pos.tolist(), y.tolist(), C.tolist()
+    alpha = [0.0] * n
+    F = y.copy()
+    # the index sets I_up and I_low of Keerthi et al. at alpha = 0; a pair
+    # step changes only entries i and j
+    up = is_pos & (C > eps)
+    low = ~is_pos & (C > eps)
 
     max_iter = hyper.max_passes * max(n, 1)
-    eps = 1e-12
     for _ in range(max_iter):
-        up = (pos & (alpha < C - eps)) | (~pos & (alpha > eps))
-        low = (pos & (alpha > eps)) | (~pos & (alpha < C - eps))
-        if not up.any() or not low.any():
+        i = np.where(up, F, -np.inf).argmax().item()
+        j = np.where(low, F, np.inf).argmin().item()  # first of low in stable F order
+        if not (up[i] and low[j]):
             break
-        neg_e = -E
-        i = int(np.where(up)[0][np.argmax(neg_e[up])])
-        # candidate js from most to least violating; skip degenerate pairs
-        low_idx = np.where(low)[0]
-        order = low_idx[np.argsort(neg_e[low_idx], kind="stable")]
-        gap = neg_e[i] - neg_e[order[0]]
-        if gap <= hyper.tol:
+        f_i = F.item(i)
+        if f_i - F.item(j) <= hyper.tol:
             break
-        progressed = False
-        for j in order:
-            j = int(j)
-            if j == i:
-                continue
-            if neg_e[i] - neg_e[j] <= hyper.tol:
-                break
-            if _smo_step(i, j, alpha, y, C, E, krow, eps):
-                progressed = True
-                break
+        progressed = _smo_step(i, j, alpha, y_l, C_l, F, krow, eps)
+        if not progressed:
+            # only then rank the rest of the low set, most violating first,
+            # and take the first pair that moves
+            low_idx = np.flatnonzero(low)
+            for j in low_idx[np.argsort(F[low_idx], kind="stable")[1:]].tolist():
+                if j == i:
+                    continue
+                if f_i - F.item(j) <= hyper.tol:
+                    break
+                if _smo_step(i, j, alpha, y_l, C_l, F, krow, eps):
+                    progressed = True
+                    break
         if not progressed:
             break
+        for k in (i, j):
+            inside, above = alpha[k] < C_l[k] - eps, alpha[k] > eps
+            up[k], low[k] = (inside, above) if pos[k] else (above, inside)
 
-    up = (pos & (alpha < C - eps)) | (~pos & (alpha > eps))
-    low = (pos & (alpha > eps)) | (~pos & (alpha < C - eps))
+    alpha = np.asarray(alpha)
     non_bound = (alpha > eps) & (alpha < C - eps)
     if non_bound.any():
-        bias = float(np.mean(-E[non_bound]))
+        bias = float(np.mean(F[non_bound]))
     elif up.any() and low.any():
-        bias = float((np.max(-E[up]) + np.min(-E[low])) / 2.0)
+        bias = float((np.max(F[up]) + np.min(F[low])) / 2.0)
     else:
         bias = 0.0
 
@@ -217,7 +229,7 @@ def svm_fit(X: np.ndarray, y: np.ndarray, hyper: SvmHyper = SvmHyper()) -> SvmMo
     )
 
 
-def _smo_step(i, j, alpha, y, C, E, krow, eps) -> bool:
+def _smo_step(i, j, alpha, y, C, F, krow, eps) -> bool:
     """Joint update of one alpha pair; returns False when no progress is possible."""
     a_i, a_j = alpha[i], alpha[j]
     y_i, y_j = y[i], y[j]
@@ -232,17 +244,16 @@ def _smo_step(i, j, alpha, y, C, E, krow, eps) -> bool:
         return False
     row_i = krow(i)
     row_j = krow(j)
-    k_ii, k_jj, k_ij = row_i[i], row_j[j], row_i[j]
-    quad = k_ii + k_jj - 2.0 * k_ij
+    quad = row_i.item(i) + row_j.item(j) - 2.0 * row_i.item(j)
     if quad <= eps:
         return False
-    a_j_new = a_j + y_j * (E[i] - E[j]) / quad
+    a_j_new = a_j + y_j * (F.item(j) - F.item(i)) / quad
     a_j_new = min(H, max(L, a_j_new))
     if abs(a_j_new - a_j) < eps * (a_j_new + a_j + eps):
         return False
     a_i_new = a_i + s * (a_j - a_j_new)
     alpha[i], alpha[j] = a_i_new, a_j_new
-    E += y_i * (a_i_new - a_i) * row_i + y_j * (a_j_new - a_j) * row_j
+    F -= y_i * (a_i_new - a_i) * row_i + y_j * (a_j_new - a_j) * row_j
     return True
 
 
@@ -264,8 +275,11 @@ class ForestHyper:
     always_include: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        for name in ("n_trees", "max_depth", "min_leaf"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.feature_frac <= 1:
+            raise ValueError(f"feature_frac must be in (0, 1], got {self.feature_frac}")
 
 
 @dataclass
@@ -374,10 +388,10 @@ def _tree_from_dict(t: dict, dim: int) -> dict:
     come after it inside its own tree (as ``_grow_tree`` lays them out), so
     a descent only moves forward and ends at a leaf of that tree."""
     tree = {
-        "feature": np.asarray(t["feature"], dtype=np.int64),
+        "feature": _node_indices(t["feature"]),
         "threshold": np.asarray(t["threshold"], dtype=np.float64),
-        "left": np.asarray(t["left"], dtype=np.int64),
-        "right": np.asarray(t["right"], dtype=np.int64),
+        "left": _node_indices(t["left"]),
+        "right": _node_indices(t["right"]),
         "value": np.asarray(t["value"], dtype=np.float64),
     }
     n = tree["feature"].shape[0] if tree["feature"].ndim == 1 else 0
@@ -395,47 +409,64 @@ def _tree_from_dict(t: dict, dim: int) -> dict:
     return tree
 
 
-def _best_split(Xn, yn, feats, min_leaf):
-    """Vectorized exhaustive split search over the candidate features.
+def _node_indices(values) -> np.ndarray:
+    """A list of integers as int64; converting it directly would truncate
+    1.9 to 1 and read true as 1."""
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise ValueError("tree feature, left and right must be lists of integers")
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("tree index does not fit in 64 bits") from None
 
-    Returns (feature, threshold) or None when no split satisfies min_leaf.
+
+def _best_split(xs, ys, min_leaf):
+    """Vectorized exhaustive split search over presorted candidate features.
+
+    Column c of ``xs`` holds one candidate feature's values over the node's
+    rows in stable ascending order, and column c of ``ys`` the targets in
+    that order. Returns (column, threshold), or None when no cut between
+    two distinct values leaves ``min_leaf`` rows on each side.
     """
-    m = Xn.shape[0]
-    cols = Xn[:, feats]
-    order = np.argsort(cols, axis=0, kind="stable")
-    ys = yn[order]
-    xs = np.take_along_axis(cols, order, axis=0)
-
+    m = xs.shape[0]
     csum = np.cumsum(ys, axis=0)
     csq = np.cumsum(ys * ys, axis=0)
     total, total_sq = csum[-1], csq[-1]
 
-    k = np.arange(1, m, dtype=np.float64)[:, None]
-    left_sum, left_sq = csum[:-1], csq[:-1]
+    # a cut after position p leaves k = p + 1 rows on the left; only
+    # min_leaf <= k <= m - min_leaf is admissible
+    cut = slice(min_leaf - 1, m - min_leaf)
+    k = np.arange(min_leaf, m - min_leaf + 1, dtype=np.float64)[:, None]
+    left_sum, left_sq = csum[cut], csq[cut]
     sse = (left_sq - left_sum**2 / k) + (
         (total_sq - left_sq) - (total - left_sum) ** 2 / (m - k)
     )
-    invalid = xs[:-1] >= xs[1:]
-    ki = np.arange(1, m)
-    invalid |= (ki < min_leaf)[:, None] | (ki > m - min_leaf)[:, None]
-    sse = np.where(invalid, np.inf, sse)
+    sse[xs[cut] >= xs[min_leaf : m - min_leaf + 1]] = np.inf
 
-    flat = int(np.argmin(sse))
-    if not np.isfinite(sse.flat[flat]):
+    # position-major: ties go to the smallest cut, then the smallest column
+    pos, col = divmod(int(sse.argmin()), xs.shape[1])
+    if not np.isfinite(sse[pos, col]):
         return None
-    pos, fi = divmod(flat, len(feats))
-    lo, hi = xs[pos, fi], xs[pos + 1, fi]
+    pos += min_leaf - 1
+    lo, hi = xs[pos, col], xs[pos + 1, col]
     threshold = 0.5 * (lo + hi)
     if not lo <= threshold < hi:  # float rounding must not empty a child
         threshold = lo
-    return int(feats[fi]), float(threshold)
+    return col, float(threshold)
 
 
 def _grow_tree(X, y, hyper: ForestHyper, rng: np.random.Generator) -> dict:
     """One bootstrap tree as per-tree arrays; leaves have feature, left and
-    right -1, and children come after their parent."""
+    right -1, and children come after their parent.
+
+    The sample is sorted once per column (presorted CART, as in SLIQ). A
+    node holds its sample positions in sample order and, per column, in
+    stable value order; filtering both by the split keeps each the order
+    that sorting the child's own rows stably would give.
+    """
     n, d = X.shape
     rows = rng.integers(0, n, size=n)  # bootstrap sample
+    Xs, ys = X[rows], y[rows]
     pool = np.array([f for f in range(d) if f not in hyper.always_include])
     k_sub = max(1, int(round(hyper.feature_frac * len(pool)))) if len(pool) else 0
 
@@ -449,16 +480,17 @@ def _grow_tree(X, y, hyper: ForestHyper, rng: np.random.Generator) -> dict:
         value.append(0.0)
         return len(feature) - 1
 
+    goes_left = np.empty(n, dtype=bool)  # by sample position, for the node being split
     root = new_node()
-    stack = [(root, rows, 0)]
+    stack = [(root, np.arange(n), np.argsort(Xs, axis=0, kind="stable").T.copy(), 0)]
     while stack:
-        node, idx, depth = stack.pop()
-        yn = y[idx]
+        node, at, ranked, depth = stack.pop()
+        yn = ys[at]
         value[node] = float(yn.mean())
         if (
             depth >= hyper.max_depth
-            or idx.shape[0] < 2 * hyper.min_leaf
-            or np.all(yn == yn[0])
+            or at.shape[0] < 2 * hyper.min_leaf
+            or (yn == yn[0]).all()
         ):
             continue
         if k_sub:
@@ -467,17 +499,21 @@ def _grow_tree(X, y, hyper: ForestHyper, rng: np.random.Generator) -> dict:
                 feats = np.concatenate([feats, np.array(hyper.always_include)])
         else:
             feats = np.array(hyper.always_include, dtype=np.int64)
-        split = _best_split(X[idx], yn, feats.astype(np.int64), hyper.min_leaf)
+        order = ranked[feats].T
+        split = _best_split(Xs[order, feats], ys[order], hyper.min_leaf)
         if split is None:
             continue
-        f, thr = split
-        go_left = X[idx, f] <= thr
+        col, thr = split
+        f = int(feats[col])
+        go_left = Xs[at, f] <= thr
         feature[node] = f
         threshold[node] = thr
         l_id, r_id = new_node(), new_node()
         left[node], right[node] = l_id, r_id
-        stack.append((r_id, idx[~go_left], depth + 1))
-        stack.append((l_id, idx[go_left], depth + 1))
+        goes_left[at] = go_left
+        ranked_left = goes_left[ranked]
+        stack.append((r_id, at[~go_left], ranked[~ranked_left].reshape(d, -1), depth + 1))
+        stack.append((l_id, at[go_left], ranked[ranked_left].reshape(d, -1), depth + 1))
 
     return {
         "feature": np.asarray(feature, dtype=np.int64),

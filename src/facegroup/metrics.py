@@ -48,41 +48,81 @@ def op_cost(h: Partition, g: Partition, costs: CostModel) -> OpResult:
     true minimum and is zero exactly when the partitions coincide.
     """
     _check_same_items(h, g)
-
-    g_groups = list(g.groups)
-    item_to_gidx: dict[int, int] = {}
-    for j, (_, members) in enumerate(g_groups):
-        for i in members:
-            item_to_gidx[i] = j
-
-    n_adds = n_removes = n_merges = 0
-    targeting = [0] * len(g_groups)
-    covered = [0] * len(g_groups)
-
-    for _, members in h.groups:
-        overlap: dict[int, int] = {}
-        for i in members:
-            j = item_to_gidx[i]
-            overlap[j] = overlap.get(j, 0) + 1
-        best_j = min(overlap, key=lambda j: (-overlap[j], j))
-        n_removes += len(members) - overlap[best_j]
-        targeting[best_j] += 1
-        covered[best_j] += overlap[best_j]
-
-    for j, (_, members) in enumerate(g_groups):
-        if targeting[j] >= 1:
-            n_merges += targeting[j] - 1
-            n_adds += len(members) - covered[j]
-        else:
-            n_adds += len(members) - 1
-
-    total = costs.c_add * n_adds + costs.c_remove * n_removes + costs.c_merge * n_merges
+    n_adds, n_removes, n_merges = _Plan(h, g).counts()
     return OpResult(
-        total_cost=total,
+        total_cost=_total(costs, n_adds, n_removes, n_merges),
         n_adds=n_adds,
         n_removes=n_removes,
         n_merges=n_merges,
     )
+
+
+def op_cost_before_after_merge(
+    h: Partition, g: Partition, costs: CostModel, gid_a: int, gid_b: int
+) -> tuple[float, float]:
+    """``op_cost(h, g, costs).total_cost`` and the same for ``h`` with groups
+    ``gid_a`` and ``gid_b`` merged, from one pass over ``h``.
+
+    The caller checks that ``h`` and ``g`` cover the same items. The merged
+    plan is the plan of ``h`` with the two groups withdrawn and their union
+    added, so its operation counts, and hence its total, are exactly what
+    ``op_cost`` gives for the merged partition.
+    """
+    a, b = h.members(gid_a), h.members(gid_b)
+    if gid_a == gid_b:
+        raise ValueError("cannot merge a group with itself")
+    plan = _Plan(h, g)
+    now = _total(costs, *plan.counts())
+    plan.add(a, -1)
+    plan.add(b, -1)
+    plan.add(a | b)
+    return now, _total(costs, *plan.counts())
+
+
+class _Plan:
+    """``op_cost``'s plan for ``h`` against ``g``: the removals, and per
+    target group how many hypothesis groups aim at it and how many of its
+    members they keep."""
+
+    def __init__(self, h: Partition, g: Partition):
+        self.target_of: dict[int, int] = {}
+        self.sizes: list[int] = []
+        for j, (_, members) in enumerate(g.groups):
+            self.sizes.append(len(members))
+            for i in members:
+                self.target_of[i] = j
+        self.targeting = [0] * len(self.sizes)
+        self.covered = [0] * len(self.sizes)
+        self.n_removes = 0
+        for _, members in h.groups:
+            self.add(members)
+
+    def add(self, members: frozenset[int], sign: int = 1) -> None:
+        """Aim one hypothesis group at the target it overlaps most (ties to
+        the smallest target index); ``sign=-1`` withdraws it."""
+        overlap: dict[int, int] = {}
+        for i in members:
+            j = self.target_of[i]
+            overlap[j] = overlap.get(j, 0) + 1
+        best_j = min(overlap, key=lambda j: (-overlap[j], j))
+        self.n_removes += sign * (len(members) - overlap[best_j])
+        self.targeting[best_j] += sign
+        self.covered[best_j] += sign * overlap[best_j]
+
+    def counts(self) -> tuple[int, int, int]:
+        """(adds, removes, merges) of the plan."""
+        n_adds = n_merges = 0
+        for j, size in enumerate(self.sizes):
+            if self.targeting[j] >= 1:
+                n_merges += self.targeting[j] - 1
+                n_adds += size - self.covered[j]
+            else:
+                n_adds += size - 1
+        return n_adds, self.n_removes, n_merges
+
+
+def _total(costs: CostModel, n_adds: int, n_removes: int, n_merges: int) -> float:
+    return costs.c_add * n_adds + costs.c_remove * n_removes + costs.c_merge * n_merges
 
 
 def bcubed(pred: Partition, gt: Partition) -> BcubedScores:

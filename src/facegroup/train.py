@@ -67,6 +67,9 @@ class TrainConfig:
     reward_mode: str = "svm"  # "svm" uses the learned margin, "pm1" a +/-1 agreement loss
 
     def __post_init__(self):
+        for name in ("max_epochs", "refit_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.reward_mode not in ("svm", "pm1"):
             raise ValueError(f"reward_mode must be 'svm' or 'pm1', got {self.reward_mode!r}")
 

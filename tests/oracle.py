@@ -3,7 +3,13 @@
 ``op_cost_oracle`` searches partition space for the cheapest edit sequence,
 so it is exponential in the album size; it audits ``metrics.op_cost``.
 ``forest_predict_reference`` descends a forest one tree at a time; it
-audits the packed ``ForestModel.predict_many``.
+audits the packed ``ForestModel.predict_many``. ``svm_fit_reference``
+(SMO that rebuilds its index sets and ranks the whole low set on every
+step), ``forest_fit_reference`` (a tree grower that argsorts the candidate
+columns at every node) and ``ground_truth_action_reference`` (two whole
+``op_cost`` plans) are the training paths that ``learn.svm_fit``,
+``learn.forest_fit`` and ``core.ground_truth_action`` must reproduce bit
+for bit.
 """
 
 from __future__ import annotations
@@ -12,8 +18,10 @@ import heapq
 
 import numpy as np
 
-from facegroup.core import CostModel, Partition
-from facegroup.learn import ForestModel
+from facegroup import learn
+from facegroup.core import Action, CostModel, Partition, State
+from facegroup.learn import ForestHyper, ForestModel, SvmHyper, SvmModel
+from facegroup.metrics import op_cost
 
 
 class CapacityError(ValueError):
@@ -100,3 +108,197 @@ def _tree_apply(tree: dict, X: np.ndarray) -> np.ndarray:
         node[idx] = np.where(go_left, tree["left"][cur], tree["right"][cur])
         active = feature[node] >= 0
     return tree["value"][node]
+
+
+def svm_fit_reference(X: np.ndarray, y: np.ndarray, hyper: SvmHyper) -> SvmModel:
+    """SMO with maximal-violating-pair selection, recomputing the index sets
+    and ranking every low-set candidate on each iteration. Takes the full
+    kernel or the on-demand row path by ``learn._KERNEL_CACHE_LIMIT``, as
+    ``svm_fit`` does."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    n_pos = int(np.sum(y > 0))
+    n_neg = n - n_pos
+    c_pos = c_neg = hyper.c_reg
+    if n_pos > n_neg:
+        c_pos = hyper.c_reg * n_neg / n_pos
+    elif n_neg > n_pos:
+        c_neg = hyper.c_reg * n_pos / n_neg
+    C = np.where(y > 0, c_pos, c_neg)
+
+    sq = (X**2).sum(axis=1)
+    K = None
+    if n <= learn._KERNEL_CACHE_LIMIT:
+        K = np.exp(-hyper.gamma * np.maximum(sq[:, None] + sq[None, :] - 2.0 * X @ X.T, 0.0))
+
+    def krow(i: int) -> np.ndarray:
+        return K[i] if K is not None else learn._kernel_rows(X, sq, hyper.gamma, i)
+
+    alpha = np.zeros(n)
+    E = -y.copy()
+    pos = y > 0
+    eps = 1e-12
+    for _ in range(hyper.max_passes * max(n, 1)):
+        up = (pos & (alpha < C - eps)) | (~pos & (alpha > eps))
+        low = (pos & (alpha > eps)) | (~pos & (alpha < C - eps))
+        if not up.any() or not low.any():
+            break
+        neg_e = -E
+        i = int(np.where(up)[0][np.argmax(neg_e[up])])
+        low_idx = np.where(low)[0]
+        order = low_idx[np.argsort(neg_e[low_idx], kind="stable")]
+        if neg_e[i] - neg_e[order[0]] <= hyper.tol:
+            break
+        progressed = False
+        for j in order:
+            j = int(j)
+            if j == i:
+                continue
+            if neg_e[i] - neg_e[j] <= hyper.tol:
+                break
+            if _smo_step_reference(i, j, alpha, y, C, E, krow, eps):
+                progressed = True
+                break
+        if not progressed:
+            break
+
+    up = (pos & (alpha < C - eps)) | (~pos & (alpha > eps))
+    low = (pos & (alpha > eps)) | (~pos & (alpha < C - eps))
+    non_bound = (alpha > eps) & (alpha < C - eps)
+    if non_bound.any():
+        bias = float(np.mean(-E[non_bound]))
+    elif up.any() and low.any():
+        bias = float((np.max(-E[up]) + np.min(-E[low])) / 2.0)
+    else:
+        bias = 0.0
+    keep = alpha > 1e-8
+    if not keep.any():
+        keep = np.zeros(n, dtype=bool)
+        keep[0] = True
+        coef = np.zeros(1)
+    else:
+        coef = (alpha * y)[keep]
+    return SvmModel(support_vectors=X[keep].copy(), coef=np.asarray(coef, dtype=np.float64),
+                    bias=bias, gamma=hyper.gamma, c_reg=hyper.c_reg)
+
+
+def _smo_step_reference(i, j, alpha, y, C, E, krow, eps) -> bool:
+    a_i, a_j = alpha[i], alpha[j]
+    y_i, y_j = y[i], y[j]
+    s = y_i * y_j
+    if s < 0:
+        L = max(0.0, a_j - a_i)
+        H = min(C[j], C[i] + a_j - a_i)
+    else:
+        L = max(0.0, a_i + a_j - C[i])
+        H = min(C[j], a_i + a_j)
+    if H - L < eps:
+        return False
+    row_i = krow(i)
+    row_j = krow(j)
+    quad = row_i[i] + row_j[j] - 2.0 * row_i[j]
+    if quad <= eps:
+        return False
+    a_j_new = a_j + y_j * (E[i] - E[j]) / quad
+    a_j_new = min(H, max(L, a_j_new))
+    if abs(a_j_new - a_j) < eps * (a_j_new + a_j + eps):
+        return False
+    a_i_new = a_i + s * (a_j - a_j_new)
+    alpha[i], alpha[j] = a_i_new, a_j_new
+    E += y_i * (a_i_new - a_i) * row_i + y_j * (a_j_new - a_j) * row_j
+    return True
+
+
+def forest_fit_reference(X: np.ndarray, y: np.ndarray, hyper: ForestHyper) -> ForestModel:
+    """Bootstrap trees grown by stable-argsorting the candidate columns of
+    every node's own rows, with the per-tree generators ``forest_fit`` uses."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    seeds = np.random.SeedSequence(hyper.seed).spawn(hyper.n_trees)
+    trees = [_grow_tree_reference(X, y, hyper, np.random.Generator(np.random.PCG64(s)))
+             for s in seeds]
+    return learn._pack(trees, X.shape[1], hyper)
+
+
+def _grow_tree_reference(X, y, hyper: ForestHyper, rng: np.random.Generator) -> dict:
+    n, d = X.shape
+    rows = rng.integers(0, n, size=n)
+    pool = np.array([f for f in range(d) if f not in hyper.always_include])
+    k_sub = max(1, int(round(hyper.feature_frac * len(pool)))) if len(pool) else 0
+    tree = {key: [] for key in ("feature", "threshold", "left", "right", "value")}
+
+    def new_node():
+        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                           ("right", -1), ("value", 0.0)):
+            tree[key].append(blank)
+        return len(tree["feature"]) - 1
+
+    stack = [(new_node(), rows, 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        yn = y[idx]
+        tree["value"][node] = float(yn.mean())
+        if depth >= hyper.max_depth or idx.shape[0] < 2 * hyper.min_leaf or np.all(yn == yn[0]):
+            continue
+        if k_sub:
+            feats = np.sort(rng.choice(pool, size=k_sub, replace=False))
+            if hyper.always_include:
+                feats = np.concatenate([feats, np.array(hyper.always_include)])
+        else:
+            feats = np.array(hyper.always_include, dtype=np.int64)
+        split = _best_split_reference(X[idx], yn, feats.astype(np.int64), hyper.min_leaf)
+        if split is None:
+            continue
+        f, thr = split
+        go_left = X[idx, f] <= thr
+        tree["feature"][node] = f
+        tree["threshold"][node] = thr
+        l_id, r_id = new_node(), new_node()
+        tree["left"][node], tree["right"][node] = l_id, r_id
+        stack.append((r_id, idx[~go_left], depth + 1))
+        stack.append((l_id, idx[go_left], depth + 1))
+    return {key: np.asarray(v, dtype=np.float64 if key in ("threshold", "value") else np.int64)
+            for key, v in tree.items()}
+
+
+def _best_split_reference(Xn, yn, feats, min_leaf):
+    m = Xn.shape[0]
+    cols = Xn[:, feats]
+    order = np.argsort(cols, axis=0, kind="stable")
+    ys = yn[order]
+    xs = np.take_along_axis(cols, order, axis=0)
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    total, total_sq = csum[-1], csq[-1]
+    k = np.arange(1, m, dtype=np.float64)[:, None]
+    left_sum, left_sq = csum[:-1], csq[:-1]
+    sse = (left_sq - left_sum**2 / k) + (
+        (total_sq - left_sq) - (total - left_sum) ** 2 / (m - k)
+    )
+    invalid = xs[:-1] >= xs[1:]
+    ki = np.arange(1, m)
+    invalid |= (ki < min_leaf)[:, None] | (ki > m - min_leaf)[:, None]
+    sse = np.where(invalid, np.inf, sse)
+    flat = int(np.argmin(sse))
+    if not np.isfinite(sse.flat[flat]):
+        return None
+    pos, fi = divmod(flat, len(feats))
+    lo, hi = xs[pos, fi], xs[pos + 1, fi]
+    threshold = 0.5 * (lo + hi)
+    if not lo <= threshold < hi:
+        threshold = lo
+    return int(feats[fi]), float(threshold)
+
+
+def merge_costs_reference(h: Partition, g: Partition, costs: CostModel,
+                          candidate: tuple[int, int]) -> tuple[float, float]:
+    """Whole ``op_cost`` totals before and after merging the candidate pair."""
+    merged, _ = h.merged(*candidate)
+    return op_cost(h, g, costs).total_cost, op_cost(merged, g, costs).total_cost
+
+
+def ground_truth_action_reference(state: State, candidate: tuple[int, int], gt: Partition,
+                                  costs: CostModel) -> Action:
+    cost_now, cost_merged = merge_costs_reference(state.partition, gt, costs, candidate)
+    return Action.MERGE if cost_merged < cost_now else Action.NOT_MERGE

@@ -184,9 +184,12 @@ def test_model_missing_key_is_schema_mismatch(tmp_path, small_config, capsys, dr
         {"feature": 23},  # no such column in a 23-wide Q row
         {"value": float("nan")},
         {"right": None},  # tree 0's own length: a valid node of the packed forest
+        {"feature": 1.9},  # would be truncated to column 1
+        {"left": True},  # would be read as node 1
+        {"left": 10**30},  # no 64-bit integer
     ],
     ids=["cycle", "child-out-of-range", "feature-out-of-range", "nan-value",
-         "child-in-next-tree"],
+         "child-in-next-tree", "feature-float", "left-bool", "left-huge"],
 )
 def test_malformed_forest_tree_is_schema_mismatch(tmp_path, small_config, capsys, corrupt):
     import numpy as np
@@ -339,8 +342,16 @@ def test_train_without_svm_section_uses_documented_gamma(tmp_path, small_config)
     [
         ("svm", "gamma", None),  # null no longer stands for 1 / dim
         ("svm", "gamma", 0.0),
+        ("svm", "c_reg", 0),
+        ("svm", "tol", 0),
+        ("svm", "max_passes", 0),
         ("train", "reward_mode", "pm-1"),
+        ("train", "max_epochs", 0),
+        ("train", "refit_every", 0),
         ("forest", "n_trees", 0),
+        ("forest", "max_depth", 0),
+        ("forest", "min_leaf", -2),
+        ("forest", "feature_frac", 1.5),
         ("policy", "tau", 0),
     ],
 )

@@ -1,8 +1,12 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facegroup import learn
 from facegroup.learn import (
     ForestHyper,
     ForestModel,
@@ -12,7 +16,7 @@ from facegroup.learn import (
     random_svm,
     svm_fit,
 )
-from oracle import forest_predict_reference
+from oracle import forest_fit_reference, forest_predict_reference, svm_fit_reference
 
 
 class TestSvmFit:
@@ -228,3 +232,67 @@ def test_negative_zero_leaves_average_to_positive_zero():
     out = model.predict_many(probe)
     assert_same_bits(out, forest_predict_reference(model, probe))
     assert not np.signbit(out).any()
+
+
+@given(
+    data=st.data(),
+    dim=st.integers(1, 3),
+    n=st.integers(2, 24),
+    hyper=st.builds(
+        SvmHyper,
+        c_reg=st.sampled_from([0.05, 1.0, 10.0, 1e3]),
+        gamma=st.sampled_from([0.5, 3.0]),
+        tol=st.sampled_from([1e-12, 1e-3, 0.3]),
+        max_passes=st.sampled_from([1, 2, 50]),  # 1 and 2 can run out of budget
+    ),
+    kernel_limit=st.sampled_from([0, learn._KERNEL_CACHE_LIMIT]),  # 0: on-demand rows
+)
+@settings(max_examples=150, deadline=None)
+def test_svm_fit_matches_reference(data, dim, n, hyper, kernel_limit):
+    # a coarse grid repeats rows, some with both labels, so pairs stall and
+    # the rest of the low set gets ranked
+    X = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 2).map(lambda v: 0.5 * v), min_size=dim, max_size=dim),
+        min_size=n, max_size=n)))
+    labels = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n - 2, max_size=n - 2))
+    y = np.array([1.0, -1.0] + labels)  # both classes, often imbalanced
+    with mock.patch.object(learn, "_KERNEL_CACHE_LIMIT", kernel_limit):
+        assert svm_fit(X, y, hyper).to_dict() == svm_fit_reference(X, y, hyper).to_dict()
+
+
+# monotone and reversing maps of one integer column: candidate cuts on
+# different features often split a node's rows alike, so their errors tie
+# exactly in real arithmetic and the order of each cumulative sum decides
+COLUMN_MAPS = [
+    lambda b: b,
+    lambda b: b // 2,
+    lambda b: np.minimum(b, 1),
+    lambda b: np.maximum(b, 2),
+    lambda b: 3 - b,
+]
+
+
+@given(
+    data=st.data(),
+    n=st.integers(1, 80),
+    maps=st.lists(st.sampled_from(COLUMN_MAPS), min_size=1, max_size=4),
+    hyper=st.builds(
+        ForestHyper,
+        n_trees=st.integers(1, 12),
+        max_depth=st.integers(1, 5),
+        min_leaf=st.integers(1, 5),
+        feature_frac=st.sampled_from([0.3, 0.6, 1.0]),
+        seed=st.integers(0, 2**16),
+    ),
+    include_last=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_forest_fit_matches_reference(data, n, maps, hyper, include_last):
+    base = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    X = np.stack([f(base) for f in maps], axis=1).astype(np.float64)
+    # targets such as 0.1 make the order of a cumulative sum show in its bits
+    y = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 1.0, -2.5, 0.1, 0.7, 1 / 3]), min_size=n, max_size=n)))
+    if include_last:
+        hyper = dataclasses.replace(hyper, always_include=(len(maps) - 1,))
+    assert forest_fit(X, y, hyper).to_dict() == forest_fit_reference(X, y, hyper).to_dict()

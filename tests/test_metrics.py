@@ -3,13 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facegroup.core import Action, Album, CostModel, Partition
+from facegroup.core import Action, Album, CostModel, Partition, State, ground_truth_action
 from facegroup.engine import PolicyConfig, episode
 from facegroup.features import AlbumContext
-from facegroup.metrics import bcubed, normalized_op, op_cost
+from facegroup.metrics import bcubed, normalized_op, op_cost, op_cost_before_after_merge
 
 from conftest import make_item
-from oracle import CapacityError, op_cost_oracle
+from oracle import (
+    CapacityError,
+    ground_truth_action_reference,
+    merge_costs_reference,
+    op_cost_oracle,
+)
 
 COSTS = CostModel()
 
@@ -266,3 +271,36 @@ def test_normalized_op_rejects_zero_items():
     p = Partition.from_singletons(2)
     with pytest.raises(ValueError):
         normalized_op(p, p, COSTS, 0)
+
+
+@given(
+    data=st.data(),
+    n=st.integers(2, 30),
+    costs=st.builds(
+        CostModel,
+        c_add=st.sampled_from([0.5, 1.0, 3.0]),
+        c_remove=st.sampled_from([0.1, 1.0, 6.0, 7.3]),
+        c_merge=st.sampled_from([0.3, 1.0, 2.0]),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_merge_costs_match_two_op_cost_plans(data, n, costs):
+    def partition(n_labels):
+        labels = data.draw(st.lists(st.integers(0, n_labels - 1), min_size=n, max_size=n))
+        sets = [frozenset(i for i, lab in enumerate(labels) if lab == x) for x in set(labels)]
+        # sparse, shuffled ids, as episodes leave them
+        gids = [2 * k + 1 for k in data.draw(st.permutations(range(len(sets))))]
+        return Partition(groups=tuple(zip(gids, sets)), next_group_id=2 * len(sets) + 1)
+
+    # few labels make mixed groups, whose union can aim at a third target
+    h, gt = partition(data.draw(st.integers(2, 8))), partition(data.draw(st.integers(1, 8)))
+    if h.n_groups < 2:
+        return
+    a, b = data.draw(st.permutations(h.group_ids()))[:2]
+    assert op_cost_before_after_merge(h, gt, costs, a, b) == merge_costs_reference(
+        h, gt, costs, (a, b)
+    )
+    state = State(partition=h, step=0)
+    assert ground_truth_action(state, (a, b), gt, costs) is ground_truth_action_reference(
+        state, (a, b), gt, costs
+    )
