@@ -241,9 +241,13 @@ def ground_truth_action(
 ) -> Action:
     """Expert decision for a candidate pair: merge iff it strictly lowers the
     remaining operation cost toward the ground-truth partition."""
-    from .metrics import op_cost_before_after_merge
+    from .metrics import op_cost
 
     if gt.item_indices() != state.partition.item_indices():
         raise ValueError("ground truth covers a different item set")
-    cost_now, cost_merged = op_cost_before_after_merge(state.partition, gt, costs, *candidate)
-    return Action.MERGE if cost_merged < cost_now else Action.NOT_MERGE
+    gid_a, gid_b = candidate
+    if gid_a == gid_b:
+        raise ValueError("cannot merge a group with itself")
+    a, b = state.partition.members(gid_a), state.partition.members(gid_b)
+    now = op_cost(state.partition, gt, costs)
+    return Action.MERGE if now.cost_after_merge(a, b, costs) < now.total_cost else Action.NOT_MERGE

@@ -8,7 +8,8 @@ as the training signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 from .core import CostModel, Partition
 
@@ -21,9 +22,16 @@ class OpResult:
     n_adds: int
     n_removes: int
     n_merges: int
+    _plan: "_Plan | None" = field(default=None, compare=False, repr=False)
 
     def counts(self) -> tuple[int, int, int]:
         return (self.n_adds, self.n_removes, self.n_merges)
+
+    def cost_after_merge(self, a: frozenset[int], b: frozenset[int], costs: CostModel) -> float:
+        """For a result of ``op_cost``: the total ``op_cost`` gives for the
+        same hypothesis with its groups ``a`` and ``b`` merged, from this
+        result's plan."""
+        return _total(costs, *self._plan.merged(a, b).counts())
 
 
 @dataclass(frozen=True)
@@ -48,35 +56,15 @@ def op_cost(h: Partition, g: Partition, costs: CostModel) -> OpResult:
     true minimum and is zero exactly when the partitions coincide.
     """
     _check_same_items(h, g)
-    n_adds, n_removes, n_merges = _Plan(h, g).counts()
+    plan = _Plan(h, g)
+    n_adds, n_removes, n_merges = plan.counts()
     return OpResult(
         total_cost=_total(costs, n_adds, n_removes, n_merges),
         n_adds=n_adds,
         n_removes=n_removes,
         n_merges=n_merges,
+        _plan=plan,
     )
-
-
-def op_cost_before_after_merge(
-    h: Partition, g: Partition, costs: CostModel, gid_a: int, gid_b: int
-) -> tuple[float, float]:
-    """``op_cost(h, g, costs).total_cost`` and the same for ``h`` with groups
-    ``gid_a`` and ``gid_b`` merged, from one pass over ``h``.
-
-    The caller checks that ``h`` and ``g`` cover the same items. The merged
-    plan is the plan of ``h`` with the two groups withdrawn and their union
-    added, so its operation counts, and hence its total, are exactly what
-    ``op_cost`` gives for the merged partition.
-    """
-    a, b = h.members(gid_a), h.members(gid_b)
-    if gid_a == gid_b:
-        raise ValueError("cannot merge a group with itself")
-    plan = _Plan(h, g)
-    now = _total(costs, *plan.counts())
-    plan.add(a, -1)
-    plan.add(b, -1)
-    plan.add(a | b)
-    return now, _total(costs, *plan.counts())
 
 
 class _Plan:
@@ -108,6 +96,17 @@ class _Plan:
         self.n_removes += sign * (len(members) - overlap[best_j])
         self.targeting[best_j] += sign
         self.covered[best_j] += sign * overlap[best_j]
+
+    def merged(self, a: frozenset[int], b: frozenset[int]) -> _Plan:
+        """The plan with groups ``a`` and ``b`` withdrawn and their union
+        added. Every other group aims where it did, so this is exactly the
+        plan of the merged hypothesis."""
+        plan = copy.copy(self)
+        plan.targeting, plan.covered = self.targeting[:], self.covered[:]
+        plan.add(a, -1)
+        plan.add(b, -1)
+        plan.add(a | b)
+        return plan
 
     def counts(self) -> tuple[int, int, int]:
         """(adds, removes, merges) of the plan."""
