@@ -100,12 +100,14 @@ class Partition:
     """Disjoint cover of item indices by non-empty groups.
 
     Group ids grow monotonically; merging two groups retires both ids and
-    assigns ``next_group_id`` to the union.
+    assigns ``next_group_id`` to the union, so the item set never changes
+    and ``merged`` hands it on.
     """
 
     groups: tuple[tuple[int, frozenset[int]], ...]
     next_group_id: int
     _by_id: dict = field(default_factory=dict, compare=False, repr=False)
+    _items: frozenset = field(default_factory=frozenset, compare=False, repr=False)
 
     def __post_init__(self):
         by_id = {}
@@ -126,6 +128,7 @@ class Partition:
         if total != len(seen):
             raise ValueError("groups are not disjoint")
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_items", frozenset(seen))
 
     @staticmethod
     def from_singletons(n_items: int) -> "Partition":
@@ -140,7 +143,7 @@ class Partition:
         return Partition(groups=groups, next_group_id=len(groups))
 
     def group_ids(self) -> tuple[int, ...]:
-        return tuple(gid for gid, _ in self.groups)
+        return tuple(self._by_id)  # in the order of ``groups``
 
     def members(self, gid: int) -> frozenset[int]:
         try:
@@ -149,11 +152,11 @@ class Partition:
             raise ValueError(f"unknown group id {gid}") from None
 
     def item_indices(self) -> frozenset[int]:
-        return frozenset().union(*(m for _, m in self.groups)) if self.groups else frozenset()
+        return self._items
 
     @property
     def n_items(self) -> int:
-        return sum(len(m) for _, m in self.groups)
+        return len(self._items)
 
     @property
     def n_groups(self) -> int:
@@ -177,6 +180,7 @@ class Partition:
         object.__setattr__(merged, "groups", tuple(by_id.items()))
         object.__setattr__(merged, "next_group_id", new_gid + 1)
         object.__setattr__(merged, "_by_id", by_id)
+        object.__setattr__(merged, "_items", self._items)
         return merged, new_gid
 
 

@@ -36,19 +36,12 @@ def distance_matrix(X: np.ndarray) -> np.ndarray:
     return np.arccos(gram) / math.pi
 
 
-def _first_eta(values: np.ndarray, eta: int) -> np.ndarray:
-    """The first eta values, padded by repeating the last one."""
-    if values.shape[0] >= eta:
-        return values[:eta]
-    return np.concatenate([values, np.full(eta - values.shape[0], values[-1])])
-
-
 def quality_block(qualities: np.ndarray, eta: int) -> np.ndarray:
     """eta largest quality scores, descending, padded with the group minimum."""
     q = np.sort(np.asarray(qualities, dtype=np.float64))[::-1]
     if q.shape[0] == 0:
         raise ValueError("group must be non-empty")
-    return _first_eta(q, eta)
+    return q[np.minimum(np.arange(eta), q.shape[0] - 1)]
 
 
 class AlbumContext:
@@ -69,37 +62,56 @@ class AlbumContext:
         lower = np.tril_indices(len(D), -1)
         D[lower] = D.T[lower]
         self.D = D
+        # the strict upper triangle of any k x k group block is upper[:k, :k]
+        self.upper = np.triu(np.ones(D.shape, dtype=bool), 1)
 
     def __len__(self) -> int:
         return len(self.album.items)
 
 
-def consistency(ctx: AlbumContext, idx: list[int]) -> float:
+def median(values: np.ndarray) -> np.ndarray:
+    """``np.median`` over the last axis, bit for bit on values without NaN.
+
+    The middle order statistic, or the two middle ones, come from
+    ``np.partition`` at the positions ``np.median`` partitions at; like
+    its ``mean``, the sum starts from 0.0, so -0.0 comes out as 0.0, and
+    an even count's two values are summed and halved.
+    """
+    half = values.shape[-1] // 2
+    if values.shape[-1] % 2:
+        return np.partition(values, half, axis=-1)[..., half] + 0.0
+    part = np.partition(values, (half - 1, half), axis=-1)
+    return (0.0 + part[..., half - 1] + part[..., half]) / 2.0
+
+
+def consistency(ctx: AlbumContext, idx: np.ndarray) -> float:
     """Median pairwise distance within the group ``idx``; 0 for a singleton."""
-    if len(idx) < 2:
+    k = len(idx)
+    if k < 2:
         return 0.0
-    sub = ctx.D[np.ix_(idx, idx)]
-    iu = np.triu_indices(len(idx), k=1)
-    return float(np.median(sub[iu]))
+    return float(median(ctx.D[idx][:, idx][ctx.upper[:k, :k]]))
 
 
-def median_column(ctx: AlbumContext, idx: list[int]) -> np.ndarray:
+def median_column(ctx: AlbumContext, idx: np.ndarray) -> np.ndarray:
     """Median distance of every album item to the group ``idx``. On another
     group's items it holds that group's side of the pair's similarity block."""
-    return np.median(ctx.D[:, idx], axis=1)
+    return median(ctx.D[:, idx])
 
 
 def pair_distance(
     cols: np.ndarray, label: np.ndarray, b: int, others: np.ndarray, eta: int
-) -> np.ndarray:
-    """Inter-group distances from group ``b`` to each group in ``others``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inter-group distances from group ``b`` to each group in ``others``,
+    with the similarity blocks they average.
 
     Groups are rows of ``cols``: item i belongs to group ``label[i]``, and
-    ``cols[g]`` is group g's ``median_column``. A pair's distance is the
-    mean of the 2*eta similarity-block values of ``extract_features``:
-    group g's block is b's column on g's items, b's block is g's column on
-    b's items, each sorted ascending and cut or padded to eta values. Every
-    group in ``others`` must have members.
+    ``cols[g]`` is group g's ``median_column``. Row r of ``block_g`` is b's
+    column on the items of group ``others[r]``, row r of ``block_b`` that
+    group's column on b's items, each sorted ascending and cut or padded
+    to eta values: for the pair (g, b) they are the A->B and B->A blocks
+    of ``extract_features``. A pair's distance is the mean of its 2*eta
+    block values. Every group in ``others`` must have members. Returns
+    ``(distances, block_g, block_b)``.
     """
     steps = np.arange(eta)
     sizes = np.bincount(label, minlength=cols.shape[0])
@@ -111,25 +123,30 @@ def pair_distance(
     block_b = np.sort(cols[np.ix_(others, idx_b)], axis=1)[:, np.minimum(steps, idx_b.size - 1)]
     # numpy sums a C-contiguous row as it sums a 1-d block, bit for bit; a
     # strided row is summed in another order.
-    sums = np.ascontiguousarray(block_g).sum(axis=1) + np.ascontiguousarray(block_b).sum(axis=1)
-    return sums / (2 * eta)
+    block_g, block_b = np.ascontiguousarray(block_g), np.ascontiguousarray(block_b)
+    sums = block_g.sum(axis=1) + block_b.sum(axis=1)
+    return sums / (2 * eta), block_g, block_b
 
 
 def extract_features(
     state: State, candidate: tuple[int, int], queue: PairQueue, use_quality: bool = True
 ) -> np.ndarray:
     """Feature vector for a candidate pair in the documented layout, read
-    from the episode's ``PairQueue``: a similarity block is one group's
-    median column on the other group's items, and consistency and quality
-    are stored per group when the group appears.
+    from the episode's ``PairQueue``: consistency and quality are stored
+    per group when the group appears, and the similarity blocks of the
+    pair the queue just handed out are the ones ``pair_distance`` sorted
+    when it measured the pair. Any other pair is measured here.
 
     With ``use_quality`` off both quality blocks are zero-filled, keeping
     the dimension stable while removing the information (an ablation knob).
     """
     queue.sync(state.partition)
     slot_a, slot_b = (queue.slot[gid] for gid in candidate)
-    cols, label, eta = queue.cols, queue.label, queue.eta
-    block_ab = _first_eta(np.sort(cols[slot_b][label == slot_a]), eta)
-    block_ba = _first_eta(np.sort(cols[slot_a][label == slot_b]), eta)
-    qual = queue.qual[[slot_a, slot_b]].ravel() if use_quality else np.zeros(2 * eta)
-    return np.concatenate([block_ab, block_ba, queue.cons[[slot_a, slot_b]], qual])
+    blocks = queue.kept_blocks(candidate)
+    if blocks is None:
+        _, block_ab, block_ba = pair_distance(
+            queue.cols, queue.label, slot_b, np.array([slot_a]), queue.eta
+        )
+        blocks = np.concatenate([block_ab[0], block_ba[0]])
+    qual = queue.qual[[slot_a, slot_b]].ravel() if use_quality else np.zeros(2 * queue.eta)
+    return np.concatenate([blocks, queue.cons[[slot_a, slot_b]], qual])

@@ -9,19 +9,28 @@ The eligible pairs are kept incrementally (the generic heap-based
 agglomerative algorithm of Muellner, arXiv:1109.2378). A pair's distance
 depends only on its two groups' members, which never change under a group
 id, so each pair is measured once, when the newer of its two groups
-appears, and stays valid while both ids are live. A proposed pair leaves
+appears, and stays valid while both ids are live. The all-singleton start
+is measured in one batch; later groups are measured as they appear. A
+pair within ``tau`` keeps the two sorted similarity blocks its distance
+averages, so its features are not measured again. A proposed pair leaves
 the queue, so each pair is proposed at most once per episode.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 from enum import Enum
 
 import numpy as np
 
 from .core import Partition, State
 from .features import AlbumContext, consistency, median_column, pair_distance, quality_block
+
+# Singleton pairs (and column entries) handled per batch of the start,
+# which bounds its scratch memory on large albums.
+_START_PAIRS = 1 << 16
 
 
 class Strategy(Enum):
@@ -30,17 +39,27 @@ class Strategy(Enum):
 
 
 class PairQueue:
-    """The per-group quantities of one episode and a heap of
-    ``(distance, gid_a, gid_b)``, gid_a < gid_b, over the pairs within ``tau``.
+    """The per-group quantities of one episode and the pairs within ``tau``.
 
     Each group sits in a slot: a row of ``cols`` (its median column),
     ``cons`` (its consistency) and ``qual`` (its quality block), all set
     once when the group appears; ``label`` maps every item to its group's
-    slot. ``extract_features`` reads a pair's features from these slots.
-    A new group's distances to all older live groups are computed in one
-    ``pair_distance`` batch. A pair handed out leaves the heap, and entries
-    of retired ids are dropped lazily. A queue follows one episode forward;
-    it rejects a partition that does not descend from the last one it saw.
+    slot. A new group's distances to all older live groups are computed in
+    one ``pair_distance`` batch; the first partition, when all its groups
+    are singletons, is set up in one step without it.
+
+    A pair within tau keeps its A->B block, then its B->A block, as
+    ``extract_features`` lays them out: row ``row`` of ``kept[gid_b]``,
+    the blocks measured when its newer group gid_b appeared, which are
+    dropped when gid_b retires. A pair of the start keeps row -1 instead:
+    both its groups are singletons, so each block is one value of their
+    median columns, repeated. HC keeps the pairs in a heap of
+    ``(distance, gid_a, gid_b, row)``, gid_a < gid_b, and drops entries of
+    retired ids lazily. RANDOM moves them, at its first draw, to
+    ``order``: the pairs in (gid_a, gid_b) order, with their rows in
+    ``order_rows``. A pair handed out leaves the queue. A queue follows one
+    episode forward; it rejects a partition that does not descend from the
+    last one it saw.
     """
 
     def __init__(self, ctx: AlbumContext, eta: int, tau: float):
@@ -54,23 +73,69 @@ class PairQueue:
         self.slot: dict[int, int] = {}  # live group id -> slot
         self.free = list(range(n - 1, -1, -1))
         self.next_gid = 0
-        self.heap: list[tuple[float, int, int]] = []
+        self.heap: list[tuple[float, int, int, int]] = []
+        self.kept: dict[int, np.ndarray] = {}
+        self.handed: tuple[int, int, int] | None = None  # (gid_a, gid_b, row)
+        self.order: list[tuple[int, int]] | None = None
+        self.order_rows: list[int] = []
 
     def sync(self, partition: Partition) -> None:
         """Retire the groups gone from ``partition`` and add its new ones."""
         if partition.next_group_id == self.next_gid:
             return  # ids only grow, so no group appeared or left
+        if not self.slot and partition.groups and all(len(m) == 1 for _, m in partition.groups):
+            self._start(partition)
+        else:
+            self._update(partition)
+        self.next_gid = partition.next_group_id
+
+    def _start(self, partition: Partition) -> None:
+        """Add an all-singleton partition to an empty queue as the per-group
+        path would: slots in group-id order, a singleton's median column is
+        its column of D, its consistency 0 and its quality block its quality
+        repeated. Both blocks of a singleton pair hold the one item-item
+        distance eta times (D is exactly symmetric), and the pair's distance
+        sums them as C-contiguous rows, as ``pair_distance`` does."""
+        gids = sorted(partition.group_ids())
+        items = np.array([next(iter(partition.members(g))) for g in gids], dtype=np.intp)
+        m, eta, D = len(gids), self.eta, self.ctx.D
+        self.slot = dict(zip(gids, range(m)))
+        self.slot_gid[:m] = gids
+        del self.free[len(self.free) - m :]
+        self.label[items] = np.arange(m)
+        self.cons[:m] = 0.0
+        self.qual[:m] = self.ctx.qualities[items, None]
+        gid_of = np.array(gids, dtype=object)  # entries share the gids' int objects
+        step = max(1, _START_PAIRS // m)
+        for j0 in range(0, m, step):  # slots j0 .. j0 + step and their pairs (j, k), j < k
+            self.cols[j0 : j0 + step] = D[:, items[j0 : j0 + step]].T
+            j, k = np.nonzero(self.ctx.upper[j0 : j0 + step, :m])
+            j += j0
+            half = np.repeat(D[items[j], items[k]][:, None], eta, axis=1).sum(axis=1)
+            dist = (half + half) / (2 * eta)
+            close = dist <= self.tau
+            self.heap += zip(
+                dist[close].tolist(), gid_of[j[close]].tolist(), gid_of[k[close]].tolist(),
+                itertools.repeat(-1),
+            )
+        heapq.heapify(self.heap)
+
+    def _update(self, partition: Partition) -> None:
         live = set(partition.group_ids())
         new = sorted(live - self.slot.keys())
         if new and new[0] < self.next_gid:
             raise ValueError("partition does not follow this queue's episode")
-        for gid in self.slot.keys() - live:
+        retired = self.slot.keys() - live
+        for gid in retired:
             slot = self.slot.pop(gid)
             self.slot_gid[slot] = -1
             self.free.append(slot)
+            self.kept.pop(gid, None)
+        if retired and self.order is not None:
+            self._keep_order(self.order, self.order_rows)
         for gid in new:
             slot = self.free.pop()
-            idx = sorted(partition.members(gid))
+            idx = np.array(sorted(partition.members(gid)))
             self.slot[gid] = slot
             self.slot_gid[slot] = gid
             self.label[idx] = slot
@@ -81,27 +146,66 @@ class PairQueue:
             older = np.flatnonzero((self.slot_gid >= 0) & (self.slot_gid < gid))
             if older.size == 0:
                 continue
-            dist = pair_distance(self.cols, self.label, self.slot[gid], older, self.eta)
-            close = dist <= self.tau
-            for d, h in zip(dist[close].tolist(), self.slot_gid[older[close]].tolist()):
-                heapq.heappush(self.heap, (d, h, gid))
-        self.next_gid = partition.next_group_id
+            dist, block_g, block_b = pair_distance(
+                self.cols, self.label, self.slot[gid], older, self.eta
+            )
+            close = np.flatnonzero(dist <= self.tau)
+            self.kept[gid] = np.concatenate([block_g[close], block_b[close]], axis=1)
+            partners = self.slot_gid[older[close]].tolist()
+            if self.order is None:
+                for d, h, row in zip(dist[close].tolist(), partners, range(close.size)):
+                    heapq.heappush(self.heap, (d, h, gid, row))
+            else:
+                for h, row in zip(partners, range(close.size)):
+                    at = bisect.bisect(self.order, (h, gid))
+                    self.order.insert(at, (h, gid))
+                    self.order_rows.insert(at, row)
+
+    def _keep_order(self, pairs: list[tuple[int, int]], rows: list[int]) -> None:
+        """Make ``order`` the live ones of ``pairs``, which are sorted."""
+        live = self.slot
+        keep = [a in live and b in live for a, b in pairs]
+        self.order = [p for p, k in zip(pairs, keep) if k]
+        self.order_rows = [r for r, k in zip(rows, keep) if k]
+
+    def held_blocks(self, gid_a: int, gid_b: int, row: int) -> np.ndarray:
+        """The A->B and B->A blocks kept for a held pair of live groups."""
+        if row >= 0:
+            return self.kept[gid_b][row]
+        slot_a, slot_b = self.slot[gid_a], self.slot[gid_b]
+        ab = self.cols[slot_b][self.label == slot_a]
+        ba = self.cols[slot_a][self.label == slot_b]
+        return np.repeat(np.concatenate([ab, ba]), self.eta)
+
+    def kept_blocks(self, candidate: tuple[int, int]) -> np.ndarray | None:
+        """The blocks kept for the pair last handed out; None for any
+        other pair or order."""
+        if self.handed is None or candidate != self.handed[:2]:
+            return None
+        return self.held_blocks(*self.handed)
 
     def nearest(self, state: State) -> tuple[int, int] | None:
         """Pop the closest eligible pair, ties to the smallest group-id pair."""
         self.sync(state.partition)
+        if self.order is not None:
+            raise ValueError("this queue serves the random strategy")
         while self.heap:
-            _, gid_a, gid_b = heapq.heappop(self.heap)
+            _, gid_a, gid_b, row = heapq.heappop(self.heap)
             if gid_a in self.slot and gid_b in self.slot:
+                self.handed = (gid_a, gid_b, row)
                 return gid_a, gid_b
         return None
 
     def eligible(self, state: State) -> list[tuple[int, int]]:
-        """All eligible pairs in ascending (gid_a, gid_b) order."""
+        """All eligible pairs in ascending (gid_a, gid_b) order: the queue's
+        own ``order``, which ``draw`` consumes. The first call moves the
+        heap's pairs into it."""
         self.sync(state.partition)
-        self.heap = [e for e in self.heap if e[1] in self.slot and e[2] in self.slot]
-        heapq.heapify(self.heap)
-        return sorted(e[1:] for e in self.heap)
+        if self.order is None:
+            entries = sorted((a, b, row) for _, a, b, row in self.heap)
+            self.heap = []
+            self._keep_order([e[:2] for e in entries], [e[2] for e in entries])
+        return self.order
 
     def draw(self, state: State, rng: np.random.Generator | None) -> tuple[int, int] | None:
         """Pop a uniform draw over the ``eligible`` list."""
@@ -110,10 +214,10 @@ class PairQueue:
             return None
         if rng is None:
             raise ValueError("random strategy requires a seeded generator")
-        pair = pairs[int(rng.integers(len(pairs)))]
-        self.heap = [e for e in self.heap if e[1:] != pair]
-        heapq.heapify(self.heap)
-        return pair
+        at = int(rng.integers(len(pairs)))
+        gid_a, gid_b = pairs.pop(at)
+        self.handed = (gid_a, gid_b, self.order_rows.pop(at))
+        return gid_a, gid_b
 
 
 def recommend(

@@ -9,6 +9,11 @@ step), ``forest_fit_reference`` (a tree grower that argsorts the candidate
 columns at every node) and ``ground_truth_action_reference`` (two whole
 ``op_cost`` plans) are the training paths that ``learn.svm_fit``,
 ``learn.forest_fit`` and ``core.ground_truth_action`` must reproduce bit
+for bit. ``median_column_reference`` and ``consistency_reference`` (the
+``np.median`` forms), ``extract_features_reference`` (blocks re-sorted
+from the queue's median columns) and ``RandomQueueReference`` (a queue
+that filters, heapifies and sorts its heap on every draw) are the
+recommender paths that ``features`` and ``PairQueue`` must reproduce bit
 for bit.
 """
 
@@ -20,8 +25,10 @@ import numpy as np
 
 from facegroup import learn
 from facegroup.core import Action, CostModel, Partition, State
+from facegroup.features import AlbumContext
 from facegroup.learn import ForestHyper, ForestModel, SvmHyper, SvmModel
 from facegroup.metrics import op_cost
+from facegroup.recommend import PairQueue
 
 
 class CapacityError(ValueError):
@@ -302,3 +309,55 @@ def ground_truth_action_reference(state: State, candidate: tuple[int, int], gt: 
                                   costs: CostModel) -> Action:
     cost_now, cost_merged = merge_costs_reference(state.partition, gt, costs, candidate)
     return Action.MERGE if cost_merged < cost_now else Action.NOT_MERGE
+
+
+def median_column_reference(ctx: AlbumContext, idx) -> np.ndarray:
+    return np.median(ctx.D[:, idx], axis=1)
+
+
+def consistency_reference(ctx: AlbumContext, idx) -> float:
+    if len(idx) < 2:
+        return 0.0
+    sub = ctx.D[np.ix_(idx, idx)]
+    return float(np.median(sub[np.triu_indices(len(idx), k=1)]))
+
+
+def _first_eta(values: np.ndarray, eta: int) -> np.ndarray:
+    if values.shape[0] >= eta:
+        return values[:eta]
+    return np.concatenate([values, np.full(eta - values.shape[0], values[-1])])
+
+
+def extract_features_reference(state: State, candidate: tuple[int, int], queue: PairQueue,
+                               use_quality: bool = True) -> np.ndarray:
+    """Features whose similarity blocks are re-sorted from the queue's
+    median columns on every call."""
+    queue.sync(state.partition)
+    slot_a, slot_b = (queue.slot[gid] for gid in candidate)
+    cols, label, eta = queue.cols, queue.label, queue.eta
+    block_ab = _first_eta(np.sort(cols[slot_b][label == slot_a]), eta)
+    block_ba = _first_eta(np.sort(cols[slot_a][label == slot_b]), eta)
+    qual = queue.qual[[slot_a, slot_b]].ravel() if use_quality else np.zeros(2 * eta)
+    return np.concatenate([block_ab, block_ba, queue.cons[[slot_a, slot_b]], qual])
+
+
+class RandomQueueReference(PairQueue):
+    """RANDOM over the heap itself: every draw filters the heap to live
+    pairs, heapifies and sorts it, then removes the drawn pair."""
+
+    def eligible(self, state: State) -> list[tuple[int, int]]:
+        self.sync(state.partition)
+        self.heap = [e for e in self.heap if e[1] in self.slot and e[2] in self.slot]
+        heapq.heapify(self.heap)
+        return sorted(e[1:3] for e in self.heap)
+
+    def draw(self, state: State, rng) -> tuple[int, int] | None:
+        pairs = self.eligible(state)
+        if not pairs:
+            return None
+        if rng is None:
+            raise ValueError("random strategy requires a seeded generator")
+        pair = pairs[int(rng.integers(len(pairs)))]
+        self.heap = [e for e in self.heap if e[1:3] != pair]
+        heapq.heapify(self.heap)
+        return pair

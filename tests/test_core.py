@@ -191,6 +191,14 @@ def test_merged_partition_equals_validated_one(n, merges):
         assert part.item_indices() == frozenset(range(n))
 
 
+def test_merged_hands_on_the_item_set():
+    part = Partition.from_singletons(4)
+    merged, gid = part.merged(0, 1)
+    merged, _ = merged.merged(gid, 3)
+    assert merged.item_indices() is part.item_indices()
+    assert merged.n_items == 4
+
+
 @given(
     n=st.integers(min_value=2, max_value=8),
     moves=st.lists(
@@ -289,3 +297,9 @@ class TestGroundTruthAction:
             ground_truth_action(
                 State.initial(3), (0, 1), Partition.from_singletons(4), self.costs
             )
+
+    def test_mismatched_item_set_of_equal_size_rejected(self):
+        state = transition(State.initial(3), (0, 1), Action.MERGE)
+        gt = Partition.from_groups([{0, 1}, {3}])
+        with pytest.raises(ValueError, match="item set"):
+            ground_truth_action(state, (2, 3), gt, self.costs)

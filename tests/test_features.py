@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 from facegroup.core import Action, Album, State, transition
 from facegroup.features import (
     AlbumContext,
+    consistency,
     extract_features,
     feature_dim,
+    median,
+    median_column,
     quality_block,
 )
-from facegroup.recommend import PairQueue
+from facegroup.recommend import PairQueue, Strategy, recommend
 
 from conftest import make_item, unit
+from oracle import consistency_reference, extract_features_reference, median_column_reference
 
 
 def reference_features(X, qualities, idx_a, idx_b, eta):
@@ -78,8 +82,8 @@ def pair_distances(ctx, state, eta):
     """Every live pair's distance as the recommender computes it (batched
     ``pair_distance`` over median columns), keyed by (gid_a, gid_b)."""
     queue = PairQueue(ctx, eta, tau=1.0)  # distances are at most 1: all kept
-    queue.eligible(state)
-    return {(a, b): d for d, a, b in queue.heap}
+    queue.sync(state.partition)
+    return {(a, b): d for d, a, b, _ in queue.heap}
 
 
 def singleton_distance(x, y):
@@ -281,3 +285,77 @@ class TestExtractFeatures:
         state = transition(state, (0, 1), Action.MERGE)
         dims.add(features_of(state, (6, 2), ctx, eta=4).shape[0])
         assert dims == {feature_dim(4)}
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@given(
+    data=st.data(),
+    rows=st.one_of(st.none(), st.integers(1, 4)),
+    k=st.integers(1, 12),
+    pool=st.sampled_from(["ties", "wide"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_median_matches_np_median_bit_for_bit(data, rows, k, pool):
+    """One column up to twelve, odd and even counts, 1-d and 2-d input;
+    "ties" draws from a handful of values, signed zeros among them."""
+    if pool == "ties":
+        values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0 / 3.0, 1e-300, 7.0])
+    else:
+        values = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    shape = (k,) if rows is None else (rows, k)
+    flat = data.draw(st.lists(values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    x = np.array(flat, dtype=np.float64).reshape(shape)
+    assert same_bits(median(x), np.median(x, axis=-1))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), dirs=st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_group_medians_match_np_median_forms(seed, n, dirs):
+    """``median_column`` and ``consistency`` equal their ``np.median`` forms
+    on every subset drawn, duplicate embeddings giving tied distances."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    directions = rng.normal(size=(dirs, 4))
+    ctx = album_of([directions[i] for i in rng.integers(dirs, size=n)])
+    for _ in range(6):
+        idx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        assert same_bits(median_column(ctx, idx), median_column_reference(ctx, idx))
+        assert same_bits(consistency(ctx, idx), consistency_reference(ctx, idx))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    eta=st.integers(1, 9),
+    tau=st.sampled_from([0.2, 0.45, 1.0]),
+    p_merge=st.sampled_from([0.3, 0.7]),
+)
+@settings(max_examples=80, deadline=None)
+def test_kept_blocks_give_the_resorted_features(seed, n, eta, tau, p_merge):
+    """Along an HC episode the features of each handed-out pair, read from
+    the blocks kept when it was measured, equal features re-sorted from the
+    median columns; so do those of any other live pair, measured on the spot."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    directions = rng.normal(size=(3, 5))
+    ctx = album_of(
+        [directions[rng.integers(3)] + rng.normal(size=5) * 0.3 for _ in range(n)],
+        list(rng.uniform(0.05, 0.95, size=n)),
+    )
+    queue = PairQueue(ctx, eta, tau)
+    state = State.initial(n)
+    while (cand := recommend(state, queue, Strategy.HIERARCHICAL_NEAREST)) is not None:
+        for use_quality in (True, False):
+            assert same_bits(
+                extract_features(state, cand, queue, use_quality),
+                extract_features_reference(state, cand, queue, use_quality),
+            )
+        gids = sorted(state.partition.group_ids())
+        other = tuple(int(g) for g in rng.choice(gids, size=2, replace=False))
+        assert same_bits(
+            extract_features(state, other, queue), extract_features_reference(state, other, queue)
+        )
+        action = Action.MERGE if rng.random() < p_merge else Action.NOT_MERGE
+        state = transition(state, cand, action)

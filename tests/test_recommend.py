@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facegroup.core import Action, Album, State, transition
+from facegroup.core import Action, Album, Partition, State, transition
 from facegroup.features import AlbumContext, consistency, extract_features, quality_block
 from facegroup.engine import PolicyConfig
 from facegroup.recommend import PairQueue, Strategy, recommend
 
 from conftest import make_item
+from oracle import RandomQueueReference, extract_features_reference
 
 
 def reference_blocks(state, ctx, gid_a, gid_b, eta):
@@ -70,6 +71,21 @@ def reference_pick(pairs, strategy, rng):
     else:
         gid_a, gid_b, _ = min(pairs, key=lambda p: (p[2], p[0], p[1]))
     return (gid_a, gid_b)
+
+
+def held_pairs(queue, live):
+    """The live pairs the queue still holds, as (gid_a, gid_b) -> (distance,
+    kept blocks): its heap under HC, its ordered list, which keeps no
+    distance, under RANDOM."""
+    if queue.order is None:
+        entries = [(a, b, d, row) for d, a, b, row in queue.heap]
+    else:
+        entries = [(a, b, None, row) for (a, b), row in zip(queue.order, queue.order_rows)]
+    return {
+        (a, b): (d, queue.held_blocks(a, b, row))
+        for a, b, d, row in entries
+        if a in live and b in live
+    }
 
 
 def planar_album(angles, qualities=None):
@@ -220,7 +236,7 @@ def test_incremental_recommend_matches_reference_scan(seed, n, eta, tau, strateg
     """One queue carried through a random episode proposes, at every step,
     the pair the brute-force scan picks, with the same generator draws;
     every distance it holds equals the scalar reference bit for bit, and so
-    do the candidate's features read from its slots. The scan never offers
+    do the blocks it keeps and the candidate's features. The scan never offers
     the same pair of member sets twice, and after each proposal the queue
     holds exactly the scan's other live pairs: consumption keyed on group
     ids equals consumption keyed on content, because ids are never reused
@@ -246,10 +262,12 @@ def test_incremental_recommend_matches_reference_scan(seed, n, eta, tau, strateg
         expected = reference_pick(pairs, strategy, rng_ref)
         assert recommend(state, queue, strategy, rng=rng_inc) == expected
         assert rng_inc.bit_generator.state == rng_ref.bit_generator.state
-        live = set(state.partition.group_ids())
-        held = {(a, b): d for d, a, b in queue.heap if a in live and b in live}
-        for (gid_a, gid_b), dist in held.items():
-            assert dist == reference_distance(state, ctx, gid_a, gid_b, eta)
+        held = held_pairs(queue, set(state.partition.group_ids()))
+        for (gid_a, gid_b), (dist, blocks) in held.items():
+            ref_ab, ref_ba = reference_blocks(state, ctx, gid_a, gid_b, eta)
+            assert np.array_equal(blocks, np.concatenate([ref_ab, ref_ba]))
+            if dist is not None:
+                assert dist == reference_distance(state, ctx, gid_a, gid_b, eta)
         assert held.keys() == {(a, b) for a, b, _ in pairs} - {expected}
         if expected is None:
             break
@@ -260,3 +278,106 @@ def test_incremental_recommend_matches_reference_scan(seed, n, eta, tau, strateg
             assert np.array_equal(phi, ref)
         action = Action.MERGE if rng.random() < p_merge else Action.NOT_MERGE
         state = transition(state, expected, action)
+
+
+def test_queue_started_in_one_batch_rejects_another_episode(three_singletons):
+    album, ctx = three_singletons
+    queue = PairQueue(ctx, 5, 1.0)
+    state = State.initial(3)
+    recommend(state, queue, HC)  # the all-singleton start
+    recommend(transition(state, (0, 1), Action.MERGE), queue, HC)
+    with pytest.raises(ValueError, match="episode"):
+        recommend(State.initial(3), queue, HC)
+
+
+def test_queue_serves_one_strategy(three_singletons):
+    album, ctx = three_singletons
+    queue = PairQueue(ctx, 5, 1.0)
+    rng = np.random.Generator(np.random.PCG64(0))
+    recommend(State.initial(3), queue, Strategy.RANDOM, rng)
+    with pytest.raises(ValueError, match="random"):
+        recommend(State.initial(3), queue, HC)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 16),
+    eta=st.integers(1, 9),
+    tau=st.sampled_from([0.05, 0.3, 0.45, 1.0]),
+    spare=st.integers(0, 5),
+)
+@settings(max_examples=120, deadline=None)
+def test_one_batch_start_equals_per_group_path(seed, n, eta, tau, spare):
+    """The all-singleton start, with group ids that are not the item
+    indices, leaves the queue as adding the singletons one group at a time
+    does: the same slots, columns, consistencies, quality blocks, free
+    slots, heap contents and, pair by pair, the same kept blocks."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    directions = rng.normal(size=(int(rng.integers(1, n + 1)), 3))
+    album = Album(
+        album_id="start",
+        items=tuple(
+            make_item(f"i{k}", directions[rng.integers(len(directions))] + rng.normal(size=3) * s,
+                      quality=float(rng.uniform(0.05, 0.95)))
+            for k, s in enumerate(rng.choice([0.0, 0.05, 0.5], size=n))
+        ),
+    )
+    ctx = AlbumContext(album)
+    gids = [int(g) for g in rng.permutation(n + spare)[:n]]
+    partition = Partition(
+        groups=tuple((g, frozenset((i,))) for g, i in zip(gids, rng.permutation(n).tolist())),
+        next_group_id=n + spare,
+    )
+    batch, per_group = PairQueue(ctx, eta, tau), PairQueue(ctx, eta, tau)
+    batch.sync(partition)
+    per_group._update(partition)
+    assert batch.slot == per_group.slot and batch.free == per_group.free
+    assert np.array_equal(batch.slot_gid, per_group.slot_gid)
+    assert np.array_equal(batch.label, per_group.label)
+    for name in ("cols", "cons", "qual"):
+        assert np.array_equal(getattr(batch, name)[:n], getattr(per_group, name)[:n])
+
+    def contents(queue):
+        return sorted(
+            (d, a, b, queue.held_blocks(a, b, row).tobytes()) for d, a, b, row in queue.heap
+        )
+
+    assert contents(batch) == contents(per_group)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    eta=st.integers(1, 6),
+    tau=st.sampled_from([0.2, 0.45, 1.0]),
+    p_merge=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_random_draws_match_the_per_step_sort(seed, n, eta, tau, p_merge):
+    """RANDOM over the incrementally ordered pairs draws the pair the old
+    filter-heapify-sort queue draws at every step, from the same generator
+    state, and the candidate's features agree with that queue's."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    directions = rng.normal(size=(3, 4))
+    album = Album(
+        album_id="draws",
+        items=tuple(
+            make_item(f"i{k}", directions[rng.integers(3)] + rng.normal(size=4) * 0.4)
+            for k in range(n)
+        ),
+    )
+    ctx = AlbumContext(album)
+    queue, old = PairQueue(ctx, eta, tau), RandomQueueReference(ctx, eta, tau)
+    rng_new = np.random.Generator(np.random.PCG64(seed + 1))
+    rng_old = np.random.Generator(np.random.PCG64(seed + 1))
+    state = State.initial(n)
+    while True:
+        pair = recommend(state, queue, Strategy.RANDOM, rng_new)
+        assert pair == old.draw(state, rng_old)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        if pair is None:
+            break
+        phi = extract_features(state, pair, queue)
+        assert np.array_equal(phi, extract_features_reference(state, pair, old))
+        action = Action.MERGE if rng.random() < p_merge else Action.NOT_MERGE
+        state = transition(state, pair, action)
