@@ -146,13 +146,22 @@ def cmd_train(args) -> int:
     albums = _load_dataset(args.data, args.normalize)
 
     svm = None
+    # how training ended, without timings, so the sidecar is as deterministic as the model
+    meta = {"command": "train", "stage": args.stage}
     if args.stage in ("irl", "both"):
         result = train_mod.irl_train(albums, policy_cfg, svm_hyper, train_cfg)
         svm = result.model
+        meta.update(
+            converged=result.converged,
+            epochs_run=result.epochs_run,
+            mistakes_per_epoch=result.mistakes_per_epoch,
+            mistake_set_size=result.mistake_set_size,
+        )
         if not result.converged:
             logger.warning("IRL stage stopped before zero mistakes")
         if args.stage == "irl":
             bench.save_model(svm, policy_cfg, args.out_model)
+            _write_sidecar(args.out_model, meta)
             return 0
     if args.stage == "q":
         if not args.svm_model:
@@ -162,6 +171,8 @@ def cmd_train(args) -> int:
             raise CliError("schema-mismatch", f"{args.svm_model} is not an svm model")
     q_result = train_mod.q_train(albums, svm, policy_cfg, forest_hyper, train_cfg)
     bench.save_model(q_result.model, policy_cfg, args.out_model)
+    meta["n_experiences"] = q_result.n_experiences
+    _write_sidecar(args.out_model, meta)
     if args.stage == "both":
         svm_path = args.svm_out or args.out_model + ".svm.json"
         bench.save_model(svm, policy_cfg, svm_path)

@@ -30,12 +30,15 @@ from .core import (  # noqa: F401
     ground_truth_action,
     transition,
 )
-from .features import AlbumContext, extract_features
+from .features import AlbumContext, extract_features, pair_features
 from .learn import ForestModel, SvmModel
 from .metrics import op_cost
 from .recommend import PairQueue, Strategy, recommend
 
 Policy = SvmModel | ForestModel
+
+# Pairs beyond the proposed one that a forest scores with it under HC.
+LOOKAHEAD = 8
 
 
 @dataclass(frozen=True)
@@ -107,13 +110,51 @@ def q_values(model: ForestModel, phi: np.ndarray) -> tuple[float, float]:
     return float(out[0]), float(out[1])
 
 
+class QMemo:
+    """A forest's (merge, not-merge) values for the pairs of one episode.
+
+    A pair's features depend only on its two groups, which never change
+    under a live id, and ``predict_many`` descends each row on its own, so
+    a value scored early is the value the pair would get when proposed. A
+    miss scores the proposed pair together with the next ``LOOKAHEAD``
+    pairs the HC queue would hand out (the random strategy has none), in
+    one ``predict_many``; a later proposal of one of them is answered here.
+    """
+
+    def __init__(self, model: ForestModel, queue: PairQueue, use_quality: bool):
+        self.model, self.queue, self.use_quality = model, queue, use_quality
+        self.memo: dict[tuple[int, int], tuple[float, float]] = {}
+
+    def values(self, candidate: tuple[int, int], phi: np.ndarray) -> tuple[float, float]:
+        hit = self.memo.pop(candidate, None)
+        if hit is not None:
+            return hit
+        queue = self.queue
+        held = [e for e in queue.upcoming(LOOKAHEAD) if e[:2] not in self.memo]
+        phis = phi[None]
+        if held:
+            blocks = np.stack([queue.held_blocks(*e) for e in held])
+            held_phis = pair_features(queue, [e[:2] for e in held], blocks, self.use_quality)
+            phis = np.vstack([phis, held_phis])
+        m = len(phis)
+        X = np.empty((2 * m, phis.shape[1] + 1))
+        X[:m, :-1] = X[m:, :-1] = phis
+        X[:m, -1], X[m:, -1] = 1.0, -1.0
+        q = self.model.predict_many(X).tolist()
+        for r, e in enumerate(held, 1):
+            self.memo[e[:2]] = (q[r], q[m + r])
+        return q[0], q[m]
+
+
 def choose_action(
-    model: ForestModel,
+    model: ForestModel | QMemo,
     phi: np.ndarray,
     epsilon: float,
     rng: np.random.Generator | None = None,
+    candidate: tuple[int, int] | None = None,
 ) -> Action:
     """Greedy action under the Q model, random with probability epsilon.
+    A ``QMemo`` values the pair ``candidate`` whose features are ``phi``.
 
     Ties go to NOT_MERGE: declining costs one cheap merge at worst while a
     wrong merge costs expensive removals.
@@ -123,7 +164,10 @@ def choose_action(
             raise ValueError("epsilon > 0 requires a generator")
         if rng.random() < epsilon:
             return Action.MERGE if rng.random() < 0.5 else Action.NOT_MERGE
-    q_merge, q_not = q_values(model, phi)
+    if isinstance(model, QMemo):
+        q_merge, q_not = model.values(candidate, phi)
+    else:
+        q_merge, q_not = q_values(model, phi)
     return Action.MERGE if q_merge > q_not else Action.NOT_MERGE
 
 
@@ -146,6 +190,7 @@ def episode(
     act: Callable[[State, tuple[int, int], np.ndarray], Action],
     gt: Partition | None = None,
     rng: np.random.Generator | None = None,
+    queue: PairQueue | None = None,
 ) -> Iterator[Step]:
     """Play one episode on the album of ``ctx``, yielding every decision;
     ``act(state, candidate, phi)`` decides each recommended pair.
@@ -155,9 +200,12 @@ def episode(
     window cut at the initial partition. Without one no label is read.
     ``rng`` feeds the RANDOM recommender; an actor that draws from the same
     generator, as epsilon-greedy play does, draws after its step's recommend.
+    ``queue``, a fresh ``PairQueue`` of ``ctx`` and ``config``, lets the
+    actor look ahead in the episode's recommender.
     """
     state = State.initial(len(ctx))
-    queue = PairQueue(ctx, config.eta, config.tau)
+    if queue is None:
+        queue = PairQueue(ctx, config.eta, config.tau)
     if gt is not None:
         recent_ops = deque(
             [op_cost(state.partition, gt, config.costs).total_cost],
@@ -214,19 +262,24 @@ def run_episode(
     per-step trace and the final partition. No label is read.
 
     An SVM is asked once per step: the actor keeps the margin it acted on,
-    and the step's ``r_short`` is that margin signed by the action."""
+    and the step's ``r_short`` is that margin signed by the action. A
+    forest answers through a ``QMemo``, so the step that scores a batch
+    carries the batch's time in its ``elapsed``."""
     steps: list[StepRecord] = []
     partition = Partition.from_singletons(len(album))
     margin = 0.0
+    ctx = ctx or AlbumContext(album)
+    queue = PairQueue(ctx, config.eta, config.tau)
+    memo = QMemo(policy, queue, config.use_quality) if isinstance(policy, ForestModel) else None
 
     def act(state, candidate, phi):
         nonlocal margin
-        if isinstance(policy, ForestModel):
-            return choose_action(policy, phi, epsilon=0.0)
+        if memo is not None:
+            return choose_action(memo, phi, 0.0, candidate=candidate)
         margin = policy.decision(phi)
         return Action.MERGE if margin > 0 else Action.NOT_MERGE
 
-    for step in episode(ctx or AlbumContext(album), config, act, rng=rng):
+    for step in episode(ctx, config, act, rng=rng, queue=queue):
         # a literal for the forest: -1.0 * 0.0 would write -0.0 to the trace
         r_short = 0.0 if isinstance(policy, ForestModel) else action_flag(step.action) * margin
         steps.append(

@@ -25,6 +25,9 @@ from .core import Album, State
 if TYPE_CHECKING:
     from .recommend import PairQueue
 
+# Rows of D made symmetric per step of ``AlbumContext``.
+_BAND = 256
+
 
 def feature_dim(eta: int) -> int:
     return 4 * eta + 2
@@ -32,8 +35,11 @@ def feature_dim(eta: int) -> int:
 
 def distance_matrix(X: np.ndarray) -> np.ndarray:
     """Pairwise angular distances between the rows of a unit-norm matrix."""
-    gram = np.clip(X @ X.T, -1.0, 1.0)
-    return np.arccos(gram) / math.pi
+    D = X @ X.T
+    np.clip(D, -1.0, 1.0, out=D)
+    np.arccos(D, out=D)
+    D /= math.pi
+    return D
 
 
 def quality_block(qualities: np.ndarray, eta: int) -> np.ndarray:
@@ -58,9 +64,14 @@ class AlbumContext:
         # The recommender reads D[b, a] where a pair's block reads D[a, b], so
         # D must be exactly symmetric. X @ X.T is when numpy hands it to
         # BLAS as a rank-k update (syrk); copying the upper triangle makes it
-        # so on any build, and changes nothing where it already is.
-        lower = np.tril_indices(len(D), -1)
-        D[lower] = D.T[lower]
+        # so on any build, and changes nothing where it already is. Copying
+        # it a band of rows at a time bounds the scratch memory by the band.
+        for i0 in range(0, len(D), _BAND):
+            i1 = min(i0 + _BAND, len(D))
+            D[i0:i1, :i0] = D[:i0, i0:i1].T
+            block = D[i0:i1, i0:i1]
+            lower = np.tril_indices(i1 - i0, -1)
+            block[lower] = block.T[lower]
         self.D = D
         # the strict upper triangle of any k x k group block is upper[:k, :k]
         self.upper = np.triu(np.ones(D.shape, dtype=bool), 1)
@@ -141,12 +152,27 @@ def extract_features(
     the dimension stable while removing the information (an ablation knob).
     """
     queue.sync(state.partition)
-    slot_a, slot_b = (queue.slot[gid] for gid in candidate)
     blocks = queue.kept_blocks(candidate)
     if blocks is None:
+        slot_a, slot_b = (queue.slot[gid] for gid in candidate)
         _, block_ab, block_ba = pair_distance(
             queue.cols, queue.label, slot_b, np.array([slot_a]), queue.eta
         )
         blocks = np.concatenate([block_ab[0], block_ba[0]])
-    qual = queue.qual[[slot_a, slot_b]].ravel() if use_quality else np.zeros(2 * queue.eta)
-    return np.concatenate([blocks, queue.cons[[slot_a, slot_b]], qual])
+    return pair_features(queue, [candidate], blocks[None], use_quality)[0]
+
+
+def pair_features(
+    queue: PairQueue, pairs: list[tuple[int, int]], blocks: np.ndarray, use_quality: bool
+) -> np.ndarray:
+    """Feature rows of live group pairs, one per pair: row r of ``blocks``
+    holds pair r's A->B then B->A similarity blocks, and the consistency
+    and quality blocks come from the queue's group cache."""
+    slots = np.array([[queue.slot[a], queue.slot[b]] for a, b in pairs])
+    eta = queue.eta
+    phis = np.zeros((len(pairs), feature_dim(eta)))
+    phis[:, : 2 * eta] = blocks
+    phis[:, 2 * eta : 2 * eta + 2] = queue.cons[slots]
+    if use_quality:
+        phis[:, 2 * eta + 2 :] = queue.qual[slots].reshape(len(pairs), 2 * eta)
+    return phis

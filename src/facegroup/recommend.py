@@ -196,6 +196,19 @@ class PairQueue:
                 return gid_a, gid_b
         return None
 
+    def upcoming(self, k: int) -> list[tuple[int, int, int]]:
+        """The next ``k`` live pairs ``nearest`` would hand out while the
+        partition last synced stands, as ``(gid_a, gid_b, row)``; they stay
+        in the queue. Empty under the random strategy, which holds no heap."""
+        entries = []
+        while self.heap and len(entries) < k:
+            entry = heapq.heappop(self.heap)
+            if entry[1] in self.slot and entry[2] in self.slot:
+                entries.append(entry)
+        for entry in entries:
+            heapq.heappush(self.heap, entry)
+        return [entry[1:] for entry in entries]
+
     def eligible(self, state: State) -> list[tuple[int, int]]:
         """All eligible pairs in ascending (gid_a, gid_b) order: the queue's
         own ``order``, which ``draw`` consumes. The first call moves the

@@ -31,6 +31,7 @@ from .core import (  # noqa: F401
 )
 from .engine import (
     PolicyConfig,
+    QMemo,
     action_flag,
     album_rng,
     choose_action,
@@ -51,7 +52,7 @@ from .learn import (
     svm_fit,
 )
 from .metrics import op_cost  # noqa: F401
-from .recommend import recommend  # noqa: F401
+from .recommend import PairQueue, recommend  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -306,11 +307,14 @@ def _play_episode(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1) -
     """One epsilon-greedy episode; experience i takes step i+1's features
     as its successor, and the last one is terminal."""
 
+    queue = PairQueue(ctx, config.eta, config.tau)
+    memo = QMemo(forest, queue, config.use_quality)
+
     def act(state, candidate, phi):
-        return choose_action(forest, phi, epsilon, rng)
+        return choose_action(memo, phi, epsilon, rng, candidate)
 
     pending = None  # (phi, action, reward) of the step awaiting its successor
-    for step in episode(ctx, config, act, gt=gt, rng=rng):
+    for step in episode(ctx, config, act, gt=gt, rng=rng, queue=queue):
         if pending is not None:
             buffer.append(Experience(*pending, next_phi=step.phi, terminal=False))
         if use_pm1:

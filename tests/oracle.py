@@ -14,21 +14,28 @@ for bit. ``median_column_reference`` and ``consistency_reference`` (the
 from the queue's median columns) and ``RandomQueueReference`` (a queue
 that filters, heapifies and sorts its heap on every draw) are the
 recommender paths that ``features`` and ``PairQueue`` must reproduce bit
-for bit.
+for bit. ``forest_steps_reference`` and ``play_episode_reference`` score
+each proposed pair on its own, in a two-row ``predict_many``; they audit
+the forest actors' Q memo, which scores pairs ahead in batches.
+``symmetric_distances_reference`` mirrors the distance matrix through
+whole-matrix triangle indices; it audits ``AlbumContext``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
 from facegroup import learn
-from facegroup.core import Action, CostModel, Partition, State
+from facegroup.core import Action, CostModel, Partition, State, ground_truth_action
+from facegroup.engine import Step, choose_action, episode, reward_short, reward_total
 from facegroup.features import AlbumContext
 from facegroup.learn import ForestHyper, ForestModel, SvmHyper, SvmModel
 from facegroup.metrics import op_cost
 from facegroup.recommend import PairQueue
+from facegroup.train import Experience
 
 
 class CapacityError(ValueError):
@@ -361,3 +368,40 @@ class RandomQueueReference(PairQueue):
         self.heap = [e for e in self.heap if e[1:3] != pair]
         heapq.heapify(self.heap)
         return pair
+
+
+def forest_steps_reference(
+    ctx: AlbumContext, forest: ForestModel, config, epsilon: float = 0.0, rng=None, gt=None
+) -> list[Step]:
+    """Every step of an episode whose forest actor values each proposed
+    pair on its own."""
+
+    def act(state, candidate, phi):
+        return choose_action(forest, phi, epsilon, rng)
+
+    return list(episode(ctx, config, act, gt=gt, rng=rng))
+
+
+def play_episode_reference(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1) -> None:
+    """``train._play_episode`` with each proposed pair valued on its own."""
+    pending = None
+    for step in forest_steps_reference(ctx, forest, config, epsilon, rng, gt):
+        if pending is not None:
+            buffer.append(Experience(*pending, next_phi=step.phi, terminal=False))
+        if use_pm1:
+            expert = ground_truth_action(step.state, step.candidate, gt, config.costs)
+            r_short = 1.0 if step.action is expert else -1.0
+        else:
+            r_short = reward_short(svm, step.phi, step.action)
+        pending = (step.phi, step.action, reward_total(r_short, step.r_long, config.beta))
+    if pending is not None:
+        buffer.append(Experience(*pending, next_phi=None, terminal=True))
+
+
+def symmetric_distances_reference(X: np.ndarray) -> np.ndarray:
+    """The angular distance matrix from out-of-place numpy calls, its lower
+    triangle copied from the upper one through whole-matrix index arrays."""
+    D = np.arccos(np.clip(X @ X.T, -1.0, 1.0)) / math.pi
+    lower = np.tril_indices(len(D), -1)
+    D[lower] = D.T[lower]
+    return D

@@ -337,6 +337,39 @@ def test_train_without_svm_section_uses_documented_gamma(tmp_path, small_config)
     assert json.loads(model.read_text())["gamma"] == 3.0
 
 
+def test_train_sidecar_records_how_training_ended(tmp_path, small_config):
+    """The train sidecar holds the IRL outcome and the experience count, and
+    no timings; one epoch is too few to converge on this data."""
+    with open(small_config) as fh:
+        cfg = json.load(fh)
+    cfg["sim"] = {"n_albums": 2, "seed": 31}
+    cfg["train"]["max_epochs"] = 1
+    config = tmp_path / "one-epoch.json"
+    config.write_text(json.dumps(cfg))
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", str(config), "--out", data])
+    metas = {}
+    for stage in ("irl", "both"):
+        model = tmp_path / f"{stage}.json"
+        assert run(["train", "--data", data, "--out-model", str(model), "--stage", stage,
+                    "--config", str(config)]) == 0
+        metas[stage] = json.loads((tmp_path / f"{stage}.json.meta.json").read_text())
+    irl_keys = {"converged", "epochs_run", "mistakes_per_epoch", "mistake_set_size"}
+    assert set(metas["irl"]) == {"command", "stage"} | irl_keys
+    assert set(metas["both"]) == {"command", "stage", "n_experiences"} | irl_keys
+    for meta in metas.values():
+        assert meta["converged"] is False
+        assert meta["epochs_run"] == 1 and len(meta["mistakes_per_epoch"]) == 1
+        assert meta["mistake_set_size"] == meta["mistakes_per_epoch"][0] > 0
+    assert metas["both"]["n_experiences"] > 0
+    q_model = tmp_path / "q.json"
+    assert run(["train", "--data", data, "--out-model", str(q_model), "--stage", "q",
+                "--svm-model", str(tmp_path / "irl.json"), "--config", str(config)]) == 0
+    assert json.loads((tmp_path / "q.json.meta.json").read_text()) == {
+        "command": "train", "stage": "q", "n_experiences": metas["both"]["n_experiences"]
+    }
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facegroup.core import (
     Action,
     Album,
     CostModel,
+    Partition,
     ground_truth_action,
     ground_truth_partition,
 )
 from facegroup.engine import (
+    LOOKAHEAD,
     PolicyConfig,
     action_flag,
+    album_rng,
     choose_action,
     episode,
     q_values,
@@ -19,10 +24,12 @@ from facegroup.engine import (
     run_episode,
 )
 from facegroup.features import AlbumContext
-from facegroup.learn import ForestHyper, constant_svm, forest_fit
+from facegroup.learn import ForestHyper, ForestModel, constant_svm, forest_fit, random_svm
 from facegroup.recommend import Strategy
+from facegroup.train import _play_episode
 
 from conftest import make_item
+from oracle import forest_steps_reference, play_episode_reference
 
 
 def fixed_svm(dim, value):
@@ -207,6 +214,126 @@ class TestRunEpisode:
         config = PolicyConfig(tau=1.0)
         trace = run_episode(album, fixed_svm(22, -1.0), config)
         assert len(trace.steps) <= (2 * n - 1) * (2 * n - 2) / 2
+
+
+def clustered_album(seed, n, labeled):
+    """n items around one to three centers, some tight and some loose, so an
+    episode meets both close and distant pairs."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    centers = rng.normal(size=(int(rng.integers(1, 4)), 6))
+    items = []
+    for k in range(n):
+        c = int(rng.integers(len(centers)))
+        v = centers[c] + rng.normal(size=6) * rng.choice([0.05, 0.3, 1.0])
+        items.append(make_item(f"i{k}", v, quality=float(rng.uniform(0.1, 1.0)),
+                               label=(f"p{c}" if labeled else None)))
+    return Album(album_id="memo", items=tuple(items))
+
+
+def threshold_forest(eta, cut, seed):
+    """A small Q forest that favours merging a pair whose first A->B
+    distance is below ``cut``, with noise, so actions mix."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dim = 4 * eta + 2
+    X = rng.uniform(0, 1, size=(300, dim + 1))
+    X[:, dim] = np.where(rng.random(300) < 0.5, 1.0, -1.0)
+    y = X[:, dim] * (cut - X[:, 0]) + 0.05 * rng.normal(size=300)
+    hyper = ForestHyper(n_trees=5, max_depth=6, always_include=(dim,), seed=seed)
+    return forest_fit(X, y, hyper)
+
+
+def step_record(candidate, action, phi):
+    return candidate, action, phi.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 16),
+    eta=st.integers(1, 6),
+    tau=st.sampled_from([0.2, 0.45, 1.0]),
+    strategy=st.sampled_from(list(Strategy)),
+    use_quality=st.booleans(),
+    cut=st.sampled_from([0.0, 0.15, 0.3, 1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_q_memo_inference_matches_one_pair_at_a_time(
+    seed, n, eta, tau, strategy, use_quality, cut
+):
+    """Greedy forest inference, whose Q memo scores HC pairs ahead in
+    batches, takes the steps (candidate, action, feature bytes) and reaches
+    the partition of an actor that scores each proposed pair on its own."""
+    album = clustered_album(seed, n, labeled=False)
+    forest = threshold_forest(eta, cut, seed)
+    config = PolicyConfig(eta=eta, tau=tau, strategy=strategy, use_quality=use_quality)
+    trace = run_episode(album, forest, config, rng=album_rng(seed, album.album_id))
+    ref = forest_steps_reference(
+        AlbumContext(album), forest, config, rng=album_rng(seed, album.album_id)
+    )
+    assert [step_record(s.candidate, s.action, s.phi) for s in trace.steps] == [
+        step_record(s.candidate, s.action, s.phi) for s in ref
+    ]
+    final = ref[-1].next_state.partition if ref else Partition.from_singletons(n)
+    assert trace.final_partition == final
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 14),
+    eta=st.integers(1, 6),
+    tau=st.sampled_from([0.2, 0.45, 1.0]),
+    strategy=st.sampled_from(list(Strategy)),
+    epsilon=st.sampled_from([0.0, 0.3, 1.0]),
+    use_pm1=st.booleans(),
+    cut=st.sampled_from([0.0, 0.15, 0.3, 1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_q_memo_play_matches_one_pair_at_a_time(
+    seed, n, eta, tau, strategy, epsilon, use_pm1, cut
+):
+    """Epsilon-greedy play through the Q memo stores the experiences of
+    play that scores each proposed pair on its own, and leaves the
+    generator in the same state: the memo moves no draw."""
+    album = clustered_album(seed, n, labeled=True)
+    gt = ground_truth_partition(album)
+    ctx = AlbumContext(album)
+    forest = threshold_forest(eta, cut, seed)
+    svm = random_svm(4 * eta + 2, seed=seed % 1000)
+    config = PolicyConfig(eta=eta, tau=tau, strategy=strategy)
+    played = []
+    for play in (_play_episode, play_episode_reference):
+        rng = album_rng(seed, album.album_id)
+        buffer = []
+        play(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1)
+        experiences = [
+            (e.phi.tobytes(), e.action, e.reward,
+             None if e.next_phi is None else e.next_phi.tobytes(), e.terminal)
+            for e in buffer
+        ]
+        played.append((experiences, rng.bit_generator.state))
+    assert played[0] == played[1]
+
+
+def test_hc_declines_are_scored_in_batches(monkeypatch):
+    """An always-declining forest under HC meets every pair of the album in
+    one long run of declines; the memo scores them LOOKAHEAD + 1 at a time."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    X = rng.uniform(0, 1, size=(100, 23))
+    X[:, 22] = np.where(rng.random(100) < 0.5, 1.0, -1.0)
+    forest = forest_fit(X, -X[:, 22], ForestHyper(n_trees=3, always_include=(22,)))
+    calls = []
+    predict_many = ForestModel.predict_many
+
+    def counted(model, rows):
+        calls.append(len(rows))
+        return predict_many(model, rows)
+
+    monkeypatch.setattr(ForestModel, "predict_many", counted)
+    album = two_cluster_album(n_per=5, labeled=False)
+    trace = run_episode(album, forest, PolicyConfig(tau=1.0))
+    steps = len(trace.steps)
+    assert steps == 45 and {s.action for s in trace.steps} == {Action.NOT_MERGE}
+    assert len(calls) < steps
+    assert len(calls) == -(-steps // (LOOKAHEAD + 1))
 
 
 def test_action_flag():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from facegroup.features import (
 from facegroup.recommend import PairQueue, Strategy, recommend
 
 from conftest import make_item, unit
-from oracle import consistency_reference, extract_features_reference, median_column_reference
+from oracle import (
+    consistency_reference,
+    extract_features_reference,
+    median_column_reference,
+    symmetric_distances_reference,
+)
 
 
 def reference_features(X, qualities, idx_a, idx_b, eta):
@@ -359,3 +365,34 @@ def test_kept_blocks_give_the_resorted_features(seed, n, eta, tau, p_merge):
         )
         action = Action.MERGE if rng.random() < p_merge else Action.NOT_MERGE
         state = transition(state, cand, action)
+
+
+def random_album(n, seed=0, dim=16):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return Album(album_id="rand", items=tuple(
+        make_item(f"i{k}", rng.normal(size=dim)) for k in range(n)
+    ))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 600])
+def test_context_distances_match_whole_matrix_mirror(n):
+    """D mirrored band by band is byte-identical to D mirrored through
+    whole-matrix triangle indices, on both sides of a band edge."""
+    ctx = AlbumContext(random_album(n, seed=n))
+    expected = symmetric_distances_reference(ctx.X)
+    assert ctx.D.tobytes() == expected.tobytes()
+    assert np.array_equal(ctx.D, ctx.D.T)
+
+
+def test_context_peak_memory_is_near_what_it_keeps():
+    """Building the context of a 1,600-item album needs little scratch
+    memory beyond the distance matrix and mask it keeps."""
+    album = random_album(1600)
+    tracemalloc.start()
+    try:
+        ctx = AlbumContext(album)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= ctx.D.nbytes + ctx.upper.nbytes
+    assert peak <= 1.5 * kept

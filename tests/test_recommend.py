@@ -150,6 +150,26 @@ def test_never_repeats_history(three_singletons):
     assert len(seen) == 3
 
 
+def test_upcoming_lists_the_next_pairs_and_keeps_them():
+    """After a merge leaves stale entries in the heap, ``upcoming`` lists
+    the live pairs nearest hands out next, with their kept-block rows, and
+    leaves every one of them in the queue."""
+    album = planar_album([0.0, 0.05, 0.12, 0.2, 0.3, 0.31])
+    queue = PairQueue(AlbumContext(album), 3, 1.0)
+    state = State.initial(6)
+    first = recommend(state, queue, HC)
+    state = transition(state, first, Action.MERGE)
+    queue.sync(state.partition)
+    ahead = queue.upcoming(5)
+    assert len(ahead) == 5 and all(a != first[0] and b != first[1] for a, b, _ in ahead)
+    handed = []
+    for _ in range(5):
+        handed.append((*recommend(state, queue, HC), queue.handed[2]))
+        state = transition(state, handed[-1][:2], Action.NOT_MERGE)
+    assert ahead == handed
+    assert queue.upcoming(100) == queue.upcoming(100)
+
+
 def test_episode_always_terminates(three_singletons):
     album, ctx = three_singletons
     queue = PairQueue(ctx, 5, 1.0)
