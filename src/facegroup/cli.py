@@ -214,6 +214,8 @@ def _check_dim(model, albums, policy_cfg) -> None:
 
 
 def cmd_eval(args) -> int:
+    if args.jobs < 1:
+        raise CliError("invalid-argument", f"--jobs must be >= 1, got {args.jobs}")
     albums = _load_dataset(args.data, args.normalize)
     if (args.partitions is None) == (args.model is None):
         raise CliError("invalid-argument", "provide exactly one of --partitions or --model")

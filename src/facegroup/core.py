@@ -37,8 +37,8 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("c_add", "c_remove", "c_merge"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails both
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -243,15 +243,13 @@ def ground_truth_action(
     gt: Partition,
     costs: CostModel,
 ) -> Action:
-    """Expert decision for a candidate pair: merge iff it strictly lowers the
-    remaining operation cost toward the ground-truth partition."""
+    """Expert decision for a candidate pair from a fresh ``op_cost`` plan
+    (``OpResult.expert``): merge iff it strictly lowers the remaining
+    operation cost toward the ground-truth partition."""
     from .metrics import op_cost
 
-    if gt.item_indices() != state.partition.item_indices():
-        raise ValueError("ground truth covers a different item set")
     gid_a, gid_b = candidate
     if gid_a == gid_b:
         raise ValueError("cannot merge a group with itself")
     a, b = state.partition.members(gid_a), state.partition.members(gid_b)
-    now = op_cost(state.partition, gt, costs)
-    return Action.MERGE if now.cost_after_merge(a, b, costs) < now.total_cost else Action.NOT_MERGE
+    return op_cost(state.partition, gt, costs).expert(a, b)[0]  # op_cost checks the items

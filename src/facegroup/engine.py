@@ -4,8 +4,9 @@ An episode starts from the all-singleton partition and repeatedly asks the
 recommender for a candidate pair, extracts its features, lets an actor
 decide, and applies the transition until no eligible pair remains.
 ``episode`` is the only place that loop is written: inference
-(``run_episode``, which reads no label), the expert path and epsilon-greedy
-play (``train``) and the threshold baseline (``bench``) are actors on it.
+(``run_episode``, which reads no label), epsilon-greedy play (``train``)
+and the threshold baseline (``bench``) are actors on it; given a ground
+truth, the episode itself is the expert.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ class PolicyConfig:
     use_quality: bool = True
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not 0.0 <= self.beta < float("inf"):  # NaN fails both
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if not 0.0 <= self.epsilon0 <= 1.0:
+            raise ValueError(f"epsilon0 must be in [0, 1], got {self.epsilon0}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
         if self.eta < 1 or self.k_steps < 1:
@@ -102,16 +105,9 @@ def reward_total(r_short: float, r_long: float, beta: float) -> float:
     return r_short + beta * r_long
 
 
-def q_values(model: ForestModel, phi: np.ndarray) -> tuple[float, float]:
-    """(merge, not-merge) values in one batched prediction; the action is
-    appended to the feature vector as a +/-1 flag."""
-    X = np.stack([np.concatenate([phi, [1.0]]), np.concatenate([phi, [-1.0]])])
-    out = model.predict_many(X)
-    return float(out[0]), float(out[1])
-
-
 class QMemo:
-    """A forest's (merge, not-merge) values for the pairs of one episode.
+    """A forest's (merge, not-merge) values for the pairs of one episode,
+    the action appended to the features as a +/-1 flag.
 
     A pair's features depend only on its two groups, which never change
     under a live id, and ``predict_many`` descends each row on its own, so
@@ -147,14 +143,14 @@ class QMemo:
 
 
 def choose_action(
-    model: ForestModel | QMemo,
+    memo: QMemo,
+    candidate: tuple[int, int],
     phi: np.ndarray,
     epsilon: float,
     rng: np.random.Generator | None = None,
-    candidate: tuple[int, int] | None = None,
 ) -> Action:
-    """Greedy action under the Q model, random with probability epsilon.
-    A ``QMemo`` values the pair ``candidate`` whose features are ``phi``.
+    """Greedy action on the memo's values of the pair ``candidate`` whose
+    features are ``phi``; random with probability epsilon.
 
     Ties go to NOT_MERGE: declining costs one cheap merge at worst while a
     wrong merge costs expensive removals.
@@ -164,10 +160,7 @@ def choose_action(
             raise ValueError("epsilon > 0 requires a generator")
         if rng.random() < epsilon:
             return Action.MERGE if rng.random() < 0.5 else Action.NOT_MERGE
-    if isinstance(model, QMemo):
-        q_merge, q_not = model.values(candidate, phi)
-    else:
-        q_merge, q_not = q_values(model, phi)
+    q_merge, q_not = memo.values(candidate, phi)
     return Action.MERGE if q_merge > q_not else Action.NOT_MERGE
 
 
@@ -179,6 +172,7 @@ class Step:
     candidate: tuple[int, int]
     phi: np.ndarray
     action: Action
+    expert: Action | None  # the ground truth's action; None without gt
     next_state: State
     r_long: float  # op-cost decrease over the last k_steps transitions; 0 without gt
     elapsed: float  # seconds from the recommend call to the end of the transition
@@ -187,7 +181,7 @@ class Step:
 def episode(
     ctx: AlbumContext,
     config: PolicyConfig,
-    act: Callable[[State, tuple[int, int], np.ndarray], Action],
+    act: Callable[[State, tuple[int, int], np.ndarray], Action] | None,
     gt: Partition | None = None,
     rng: np.random.Generator | None = None,
     queue: PairQueue | None = None,
@@ -195,9 +189,11 @@ def episode(
     """Play one episode on the album of ``ctx``, yielding every decision;
     ``act(state, candidate, phi)`` decides each recommended pair.
 
-    With a ground-truth partition each step carries the long-term reward:
-    op_cost(partition k_steps transitions back) - op_cost(now), with the
-    window cut at the initial partition. Without one no label is read.
+    With a ground-truth partition the episode plans the edits toward it once
+    (``op_cost``) and advances the plan by each merge. Each step carries the
+    expert's action (``OpResult.expert``), which ``act=None`` plays, and the
+    long-term reward: the plan's total k_steps transitions back (cut at the
+    initial partition) minus its total now. Without one no label is read.
     ``rng`` feeds the RANDOM recommender; an actor that draws from the same
     generator, as epsilon-greedy play does, draws after its step's recommend.
     ``queue``, a fresh ``PairQueue`` of ``ctx`` and ``config``, lets the
@@ -206,24 +202,31 @@ def episode(
     state = State.initial(len(ctx))
     if queue is None:
         queue = PairQueue(ctx, config.eta, config.tau)
+    plan = expert = None
     if gt is not None:
-        recent_ops = deque(
-            [op_cost(state.partition, gt, config.costs).total_cost],
-            maxlen=config.k_steps + 1,
-        )
+        plan = op_cost(state.partition, gt, config.costs)
+        recent_ops = deque([plan.total_cost], maxlen=config.k_steps + 1)
+    elif act is None:
+        raise ValueError("teacher forcing requires a ground truth")
     while True:
         t0 = time.perf_counter()
         candidate = recommend(state, queue, config.strategy, rng=rng)
         if candidate is None:
             return
         phi = extract_features(state, candidate, queue, config.use_quality)
-        action = act(state, candidate, phi)
+        if plan is not None:
+            expert, merged = plan.expert(*map(state.partition.members, candidate))
+        action = expert if act is None else act(state, candidate, phi)
         next_state = transition(state, candidate, action)
         r_long = 0.0
-        if gt is not None:
-            recent_ops.append(op_cost(next_state.partition, gt, config.costs).total_cost)
+        if plan is not None:
+            if action is Action.MERGE:
+                plan = merged
+            recent_ops.append(plan.total_cost)
             r_long = recent_ops[0] - recent_ops[-1]
-        yield Step(state, candidate, phi, action, next_state, r_long, time.perf_counter() - t0)
+        yield Step(
+            state, candidate, phi, action, expert, next_state, r_long, time.perf_counter() - t0
+        )
         state = next_state
 
 
@@ -275,22 +278,14 @@ def run_episode(
     def act(state, candidate, phi):
         nonlocal margin
         if memo is not None:
-            return choose_action(memo, phi, 0.0, candidate=candidate)
+            return choose_action(memo, candidate, phi, 0.0)
         margin = policy.decision(phi)
         return Action.MERGE if margin > 0 else Action.NOT_MERGE
 
     for step in episode(ctx, config, act, rng=rng, queue=queue):
         # a literal for the forest: -1.0 * 0.0 would write -0.0 to the trace
         r_short = 0.0 if isinstance(policy, ForestModel) else action_flag(step.action) * margin
-        steps.append(
-            StepRecord(
-                step=step.state.step,
-                candidate=step.candidate,
-                action=step.action,
-                phi=step.phi,
-                r_short=r_short,
-                elapsed=step.elapsed,
-            )
-        )
+        steps.append(StepRecord(step.state.step, step.candidate, step.action, step.phi,
+                                r_short, step.elapsed))
         partition = step.next_state.partition
     return EpisodeTrace(album_id=album.album_id, steps=steps, final_partition=partition)

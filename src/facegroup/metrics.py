@@ -9,29 +9,77 @@ as the training signal.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import CostModel, Partition
+from .core import Action, CostModel, Partition
 
 
-@dataclass(frozen=True)
 class OpResult:
-    """Edit plan summary: operation counts and their weighted total."""
+    """``op_cost``'s edit plan of a hypothesis against a target partition,
+    with its operation counts and their weighted total.
 
-    total_cost: float
-    n_adds: int
-    n_removes: int
-    n_merges: int
-    _plan: "_Plan | None" = field(default=None, compare=False, repr=False)
+    Every hypothesis group aims at the target group it overlaps most (ties
+    to the smallest target index), keeps that overlap and sheds the rest as
+    removals. Groups aimed at one target are merged and its members still
+    missing are added one by one; a target nothing aims at is built from
+    one of its members. A group's aim depends on its own members only, so
+    ``merged`` advances the plan by one merge without replanning the rest.
+    """
+
+    def __init__(self, h: Partition, g: Partition, costs: CostModel):
+        self.costs = costs
+        self.target_of = {i: j for j, (_, members) in enumerate(g.groups) for i in members}
+        self.targeting = [0] * g.n_groups  # hypothesis groups aimed at each target
+        self.n_items, self.n_targets = g.n_items, g.n_groups
+        self.n_groups = self.n_aimed = self.n_kept = self.n_removes = 0
+        for _, members in h.groups:
+            self._aim(members, 1)
+
+    def _aim(self, members: frozenset[int], sign: int) -> None:
+        """Aim one hypothesis group at its target; ``sign=-1`` withdraws it."""
+        overlap: dict[int, int] = {}
+        for i in members:
+            j = self.target_of[i]
+            overlap[j] = overlap.get(j, 0) + 1
+        j = min(overlap, key=lambda t: (-overlap[t], t))
+        self.n_aimed -= self.targeting[j] > 0
+        self.targeting[j] += sign
+        self.n_aimed += self.targeting[j] > 0
+        self.n_groups += sign
+        self.n_kept += sign * overlap[j]
+        self.n_removes += sign * (len(members) - overlap[j])
+
+    @property
+    def n_adds(self) -> int:
+        return self.n_items - self.n_kept - (self.n_targets - self.n_aimed)
+
+    @property
+    def n_merges(self) -> int:
+        return self.n_groups - self.n_aimed
+
+    @property
+    def total_cost(self) -> float:
+        c = self.costs
+        return c.c_add * self.n_adds + c.c_remove * self.n_removes + c.c_merge * self.n_merges
 
     def counts(self) -> tuple[int, int, int]:
         return (self.n_adds, self.n_removes, self.n_merges)
 
-    def cost_after_merge(self, a: frozenset[int], b: frozenset[int], costs: CostModel) -> float:
-        """For a result of ``op_cost``: the total ``op_cost`` gives for the
-        same hypothesis with its groups ``a`` and ``b`` merged, from this
-        result's plan."""
-        return _total(costs, *self._plan.merged(a, b).counts())
+    def merged(self, a: frozenset[int], b: frozenset[int]) -> OpResult:
+        """The plan with the hypothesis groups ``a`` and ``b`` merged; this
+        plan is left as it was."""
+        plan = copy.copy(self)
+        plan.targeting = self.targeting[:]
+        plan._aim(a, -1)
+        plan._aim(b, -1)
+        plan._aim(a | b, 1)
+        return plan
+
+    def expert(self, a: frozenset[int], b: frozenset[int]) -> tuple[Action, OpResult]:
+        """The expert's decision on merging groups ``a`` and ``b``, merge iff
+        the merged plan's total is strictly lower, and the merged plan."""
+        plan = self.merged(a, b)
+        return (Action.MERGE if plan.total_cost < self.total_cost else Action.NOT_MERGE), plan
 
 
 @dataclass(frozen=True)
@@ -47,81 +95,11 @@ def _check_same_items(h: Partition, g: Partition) -> None:
 
 
 def op_cost(h: Partition, g: Partition, costs: CostModel) -> OpResult:
-    """Deterministic edit plan transforming ``h`` into ``g``.
-
-    Plan: every hypothesis group keeps its largest overlap with some target
-    group (ties to the smallest target index) and sheds the rest as removals.
-    Groups aimed at the same target are merged, and still-missing members
-    are added back one by one. The returned cost is an upper bound on the
-    true minimum and is zero exactly when the partitions coincide.
-    """
+    """Deterministic edit plan transforming ``h`` into ``g`` (``OpResult``).
+    Its cost is an upper bound on the true minimum and is zero exactly when
+    the partitions coincide."""
     _check_same_items(h, g)
-    plan = _Plan(h, g)
-    n_adds, n_removes, n_merges = plan.counts()
-    return OpResult(
-        total_cost=_total(costs, n_adds, n_removes, n_merges),
-        n_adds=n_adds,
-        n_removes=n_removes,
-        n_merges=n_merges,
-        _plan=plan,
-    )
-
-
-class _Plan:
-    """``op_cost``'s plan for ``h`` against ``g``: the removals, and per
-    target group how many hypothesis groups aim at it and how many of its
-    members they keep."""
-
-    def __init__(self, h: Partition, g: Partition):
-        self.target_of: dict[int, int] = {}
-        self.sizes: list[int] = []
-        for j, (_, members) in enumerate(g.groups):
-            self.sizes.append(len(members))
-            for i in members:
-                self.target_of[i] = j
-        self.targeting = [0] * len(self.sizes)
-        self.covered = [0] * len(self.sizes)
-        self.n_removes = 0
-        for _, members in h.groups:
-            self.add(members)
-
-    def add(self, members: frozenset[int], sign: int = 1) -> None:
-        """Aim one hypothesis group at the target it overlaps most (ties to
-        the smallest target index); ``sign=-1`` withdraws it."""
-        overlap: dict[int, int] = {}
-        for i in members:
-            j = self.target_of[i]
-            overlap[j] = overlap.get(j, 0) + 1
-        best_j = min(overlap, key=lambda j: (-overlap[j], j))
-        self.n_removes += sign * (len(members) - overlap[best_j])
-        self.targeting[best_j] += sign
-        self.covered[best_j] += sign * overlap[best_j]
-
-    def merged(self, a: frozenset[int], b: frozenset[int]) -> _Plan:
-        """The plan with groups ``a`` and ``b`` withdrawn and their union
-        added. Every other group aims where it did, so this is exactly the
-        plan of the merged hypothesis."""
-        plan = copy.copy(self)
-        plan.targeting, plan.covered = self.targeting[:], self.covered[:]
-        plan.add(a, -1)
-        plan.add(b, -1)
-        plan.add(a | b)
-        return plan
-
-    def counts(self) -> tuple[int, int, int]:
-        """(adds, removes, merges) of the plan."""
-        n_adds = n_merges = 0
-        for j, size in enumerate(self.sizes):
-            if self.targeting[j] >= 1:
-                n_merges += self.targeting[j] - 1
-                n_adds += size - self.covered[j]
-            else:
-                n_adds += size - 1
-        return n_adds, self.n_removes, n_merges
-
-
-def _total(costs: CostModel, n_adds: int, n_removes: int, n_merges: int) -> float:
-    return costs.c_add * n_adds + costs.c_remove * n_removes + costs.c_merge * n_merges
+    return OpResult(h, g, costs)
 
 
 def bcubed(pred: Partition, gt: Partition) -> BcubedScores:

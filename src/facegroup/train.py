@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The episode kernel calls recommend, extract_features, transition and op_cost;
-# perfbench's tracer still looks them up on this module, so the imports stay.
+# The episode kernel calls recommend, extract_features, transition and op_cost, and is
+# the expert; perfbench's tracer still looks them up on this module, so the imports stay.
 from .core import (  # noqa: F401
     Action,
     Album,
@@ -116,18 +116,11 @@ def expert_trajectory(
     truth and the recommender, never on the learner, so this sequence can
     be computed once and re-scored cheaply every epoch.
     """
-
-    def expert(state, candidate, phi):
-        return ground_truth_action(state, candidate, gt, config.costs)
-
-    phis: list[np.ndarray] = []
-    labels: list[float] = []
-    for step in episode(ctx or AlbumContext(album), config, expert, rng=rng):
-        phis.append(step.phi)
-        labels.append(action_flag(step.action))
-    dim = feature_dim(config.eta)
-    if not phis:
-        return np.empty((0, dim)), np.empty(0)
+    steps = episode(ctx or AlbumContext(album), config, None, gt=gt, rng=rng)
+    decisions = [(step.phi, action_flag(step.action)) for step in steps]
+    if not decisions:
+        return np.empty((0, feature_dim(config.eta))), np.empty(0)
+    phis, labels = zip(*decisions)
     return np.asarray(phis), np.asarray(labels)
 
 
@@ -311,15 +304,14 @@ def _play_episode(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1) -
     memo = QMemo(forest, queue, config.use_quality)
 
     def act(state, candidate, phi):
-        return choose_action(memo, phi, epsilon, rng, candidate)
+        return choose_action(memo, candidate, phi, epsilon, rng)
 
     pending = None  # (phi, action, reward) of the step awaiting its successor
     for step in episode(ctx, config, act, gt=gt, rng=rng, queue=queue):
         if pending is not None:
             buffer.append(Experience(*pending, next_phi=step.phi, terminal=False))
         if use_pm1:
-            expert = ground_truth_action(step.state, step.candidate, gt, config.costs)
-            r_short = 1.0 if step.action is expert else -1.0
+            r_short = 1.0 if step.action is step.expert else -1.0
         else:
             r_short = reward_short(svm, step.phi, step.action)
         pending = (step.phi, step.action, reward_total(r_short, step.r_long, config.beta))

@@ -14,9 +14,12 @@ for bit. ``median_column_reference`` and ``consistency_reference`` (the
 from the queue's median columns) and ``RandomQueueReference`` (a queue
 that filters, heapifies and sorts its heap on every draw) are the
 recommender paths that ``features`` and ``PairQueue`` must reproduce bit
-for bit. ``forest_steps_reference`` and ``play_episode_reference`` score
-each proposed pair on its own, in a two-row ``predict_many``; they audit
-the forest actors' Q memo, which scores pairs ahead in batches.
+for bit. ``q_values_reference`` scores one proposed pair on its own, in
+a two-row ``predict_many``; ``forest_steps_reference`` and
+``play_episode_reference`` play with it and with the one-shot
+``ground_truth_action_reference`` as the expert. They audit the forest
+actors' Q memo, which scores pairs ahead in batches, and the plan that an
+episode with a ground truth carries from step to step.
 ``symmetric_distances_reference`` mirrors the distance matrix through
 whole-matrix triangle indices; it audits ``AlbumContext``.
 """
@@ -29,8 +32,8 @@ import math
 import numpy as np
 
 from facegroup import learn
-from facegroup.core import Action, CostModel, Partition, State, ground_truth_action
-from facegroup.engine import Step, choose_action, episode, reward_short, reward_total
+from facegroup.core import Action, CostModel, Partition, State
+from facegroup.engine import Step, episode, reward_short, reward_total
 from facegroup.features import AlbumContext
 from facegroup.learn import ForestHyper, ForestModel, SvmHyper, SvmModel
 from facegroup.metrics import op_cost
@@ -370,14 +373,23 @@ class RandomQueueReference(PairQueue):
         return pair
 
 
+def q_values_reference(model: ForestModel, phi: np.ndarray) -> tuple[float, float]:
+    """(merge, not-merge) values of one pair in a two-row ``predict_many``."""
+    out = model.predict_many(np.stack([np.append(phi, 1.0), np.append(phi, -1.0)]))
+    return float(out[0]), float(out[1])
+
+
 def forest_steps_reference(
     ctx: AlbumContext, forest: ForestModel, config, epsilon: float = 0.0, rng=None, gt=None
 ) -> list[Step]:
     """Every step of an episode whose forest actor values each proposed
-    pair on its own."""
+    pair on its own, with ``engine.choose_action``'s generator draws."""
 
     def act(state, candidate, phi):
-        return choose_action(forest, phi, epsilon, rng)
+        if epsilon > 0 and rng.random() < epsilon:
+            return Action.MERGE if rng.random() < 0.5 else Action.NOT_MERGE
+        q_merge, q_not = q_values_reference(forest, phi)
+        return Action.MERGE if q_merge > q_not else Action.NOT_MERGE
 
     return list(episode(ctx, config, act, gt=gt, rng=rng))
 
@@ -389,7 +401,7 @@ def play_episode_reference(gt, ctx, forest, svm, config, epsilon, rng, buffer, u
         if pending is not None:
             buffer.append(Experience(*pending, next_phi=step.phi, terminal=False))
         if use_pm1:
-            expert = ground_truth_action(step.state, step.candidate, gt, config.costs)
+            expert = ground_truth_action_reference(step.state, step.candidate, gt, config.costs)
             r_short = 1.0 if step.action is expert else -1.0
         else:
             r_short = reward_short(svm, step.phi, step.action)

@@ -386,11 +386,37 @@ def test_train_sidecar_records_how_training_ended(tmp_path, small_config):
         ("forest", "min_leaf", -2),
         ("forest", "feature_frac", 1.5),
         ("policy", "tau", 0),
+        # json writes and reads these as NaN and Infinity
+        ("policy", "beta", float("nan")),
+        ("policy", "beta", float("inf")),
+        ("policy", "epsilon0", -3.0),
+        ("policy", "epsilon0", 2.0),
+        pytest.param("policy", "costs", [float("nan"), 6, 1], id="policy-costs-nan"),
+        pytest.param("policy", "costs", [1, 6, float("inf")], id="policy-costs-inf"),
     ],
 )
 def test_config_value_out_of_range(tmp_path, small_config, capsys, section, key, value):
     argv = train_argv(tmp_path, small_config, section, key, value)
     capsys.readouterr()
     assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:invalid-argument:"), err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--costs", "nan,6,1"), ("--costs", "1,inf,1"), ("--jobs", "0")]
+)
+def test_eval_flag_out_of_range(tmp_path, small_config, capsys, flag, value):
+    # a non-finite cost would score every album as nan or inf; no jobs is not serial
+    from facegroup.bench import load_dataset, save_partitions
+    from facegroup.core import ground_truth_partition
+
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", small_config, "--out", data])
+    parts = str(tmp_path / "gt.jsonl")
+    save_partitions([(a, ground_truth_partition(a)) for a in load_dataset(data)], parts)
+    capsys.readouterr()
+    assert run(["eval", "--data", data, "--partitions", parts,
+                "--report", str(tmp_path / "r.json"), flag, value]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:invalid-argument:"), err

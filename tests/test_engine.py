@@ -14,22 +14,27 @@ from facegroup.core import (
 from facegroup.engine import (
     LOOKAHEAD,
     PolicyConfig,
+    QMemo,
     action_flag,
     album_rng,
     choose_action,
     episode,
-    q_values,
     reward_short,
     reward_total,
     run_episode,
 )
 from facegroup.features import AlbumContext
 from facegroup.learn import ForestHyper, ForestModel, constant_svm, forest_fit, random_svm
-from facegroup.recommend import Strategy
-from facegroup.train import _play_episode
+from facegroup.metrics import op_cost
+from facegroup.recommend import PairQueue, Strategy
+from facegroup.train import _play_episode, expert_trajectory
 
 from conftest import make_item
-from oracle import forest_steps_reference, play_episode_reference
+from oracle import (
+    forest_steps_reference,
+    ground_truth_action_reference,
+    play_episode_reference,
+)
 
 
 def fixed_svm(dim, value):
@@ -88,30 +93,37 @@ class TestChooseAction:
         y = X[:, 2] * np.where(X[:, 0] > 0.5, 1.0, -1.0)
         return forest_fit(X, y, ForestHyper(n_trees=20, always_include=(2,), seed=0))
 
+    def make_memo(self, forest=None):
+        """A memo on a queue never synced: it holds no pairs to look ahead
+        to, so each miss scores the proposed pair alone."""
+        items = (make_item("a", [1.0, 0.0]), make_item("b", [0.0, 1.0]))
+        queue = PairQueue(AlbumContext(Album(album_id="ab", items=items)), eta=1, tau=1.0)
+        return QMemo(forest or self.make_forest(), queue, use_quality=True)
+
     def test_greedy_when_epsilon_zero(self):
-        forest = self.make_forest()
-        assert choose_action(forest, np.array([0.9, 0.5]), 0.0) is Action.MERGE
-        assert choose_action(forest, np.array([0.1, 0.5]), 0.0) is Action.NOT_MERGE
+        memo = self.make_memo()
+        assert choose_action(memo, (0, 1), np.array([0.9, 0.5]), 0.0) is Action.MERGE
+        assert choose_action(memo, (0, 1), np.array([0.1, 0.5]), 0.0) is Action.NOT_MERGE
 
     def test_epsilon_one_is_uniform(self):
-        forest = self.make_forest()
+        memo = self.make_memo()
         rng = np.random.Generator(np.random.PCG64(3))
         actions = [
-            choose_action(forest, np.array([0.9, 0.5]), 1.0, rng) for _ in range(300)
+            choose_action(memo, (0, 1), np.array([0.9, 0.5]), 1.0, rng) for _ in range(300)
         ]
         frac = np.mean([a is Action.MERGE for a in actions])
         assert 0.4 < frac < 0.6
 
     def test_epsilon_requires_rng(self):
         with pytest.raises(ValueError, match="generator"):
-            choose_action(self.make_forest(), np.array([0.9, 0.5]), 0.5)
+            choose_action(self.make_memo(), (0, 1), np.array([0.9, 0.5]), 0.5)
 
     def test_q_value_consistency(self):
         forest = self.make_forest()
-        phi = np.array([0.7, 0.3])
-        qm, qn = q_values(forest, phi)
-        assert forest.predict_many(np.append(phi, 1.0)[None])[0] == pytest.approx(qm)
-        assert forest.predict_many(np.append(phi, -1.0)[None])[0] == pytest.approx(qn)
+        memo = self.make_memo(forest)
+        for phi in (np.array([0.7, 0.3]), np.array([0.2, 0.9])):
+            two_rows = forest.predict_many(np.stack([np.append(phi, 1.0), np.append(phi, -1.0)]))
+            assert memo.values((0, 1), phi) == (two_rows[0], two_rows[1])
 
 
 def two_cluster_album(n_per=3, labeled=True):
@@ -157,7 +169,13 @@ class TestRunEpisode:
         def expert(state, candidate, phi):
             return ground_truth_action(state, candidate, gt, self.config.costs)
 
-        return gt, list(episode(AlbumContext(album), self.config, expert, gt=gt))
+        steps = list(episode(AlbumContext(album), self.config, expert, gt=gt))
+        # the episode's own teacher forcing takes the same steps
+        forced = list(episode(AlbumContext(album), self.config, None, gt=gt))
+        assert [(s.candidate, s.action, s.expert) for s in steps] == [
+            (s.candidate, s.action, s.action) for s in forced
+        ]
+        return gt, steps
 
     def test_teacher_forced_executes_expert_actions(self):
         # the expert actor drives the episode to the ground truth
@@ -311,6 +329,52 @@ def test_q_memo_play_matches_one_pair_at_a_time(
         ]
         played.append((experiences, rng.bit_generator.state))
     assert played[0] == played[1]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 14),
+    k_steps=st.integers(1, 3),
+    tau=st.sampled_from([0.2, 0.45, 1.0]),
+    strategy=st.sampled_from(list(Strategy)),
+    costs=st.sampled_from([CostModel(), CostModel(1.0, 1.0, 1.0), CostModel(3.0, 0.5, 2.0)]),
+    merge_rate=st.sampled_from([None, 0.2, 0.7]),
+)
+@settings(max_examples=60, deadline=None)
+def test_carried_plan_matches_one_shot_op_cost(
+    seed, n, k_steps, tau, strategy, costs, merge_rate
+):
+    """The plan an episode carries gives every step the expert action of two
+    whole ``op_cost`` plans and the brute-force k-step ``r_long``; with no
+    actor (``merge_rate`` None) the episode plays the expert. A coin actor
+    draws from its own generator, so the RANDOM recommender's draws stay."""
+    album = clustered_album(seed, n, labeled=True)
+    gt = ground_truth_partition(album)
+    config = PolicyConfig(k_steps=k_steps, tau=tau, strategy=strategy, costs=costs)
+    coin = np.random.Generator(np.random.PCG64(seed))
+    act = None
+    if merge_rate is not None:
+        def act(state, candidate, phi):
+            return Action.MERGE if coin.random() < merge_rate else Action.NOT_MERGE
+
+    ctx = AlbumContext(album)
+    steps = list(episode(ctx, config, act, gt=gt, rng=album_rng(seed, album.album_id)))
+    totals = [op_cost(Partition.from_singletons(n), gt, costs).total_cost]
+    for step in steps:
+        assert step.expert is ground_truth_action_reference(step.state, step.candidate, gt, costs)
+        if act is None:
+            assert step.action is step.expert
+        totals.append(op_cost(step.next_state.partition, gt, costs).total_cost)
+        i = len(totals) - 1
+        assert step.r_long == totals[max(0, i - k_steps)] - totals[i]
+
+    def reference_expert(state, candidate, phi):
+        return ground_truth_action_reference(state, candidate, gt, costs)
+
+    ref = list(episode(ctx, config, reference_expert, rng=album_rng(seed, album.album_id)))
+    phis, labels = expert_trajectory(album, gt, config, ctx, album_rng(seed, album.album_id))
+    assert labels.tolist() == [action_flag(s.action) for s in ref]
+    assert phis.tobytes() == b"".join(s.phi.tobytes() for s in ref)
 
 
 def test_hc_declines_are_scored_in_batches(monkeypatch):

@@ -82,6 +82,13 @@ class TestOpCost:
         assert res.total_cost == 7
         assert op_cost_oracle(h, g, COSTS) == 7
 
+    def test_tied_overlap_aims_at_smallest_target(self):
+        # {0, 1} overlaps both targets by one item and aims at {0, 2}, where
+        # {2} joins it by a merge; aimed at {1} it would leave item 0 to an add
+        h = Partition.from_groups([{0, 1}, {2}])
+        g = Partition.from_groups([{0, 2}, {1}])
+        assert op_cost(h, g, COSTS).counts() == (0, 1, 1)
+
     def test_all_noise_group_dissolves(self):
         h = Partition.from_groups([{0, 1, 2}])
         g = Partition.from_singletons(3)
@@ -298,10 +305,13 @@ def test_one_pass_merge_costs_match_two_op_cost_plans(data, n, costs):
         return
     a, b = data.draw(st.permutations(h.group_ids()))[:2]
     now = op_cost(h, gt, costs)
-    cost_merged = now.cost_after_merge(h.members(a), h.members(b), costs)
-    assert (now.total_cost, cost_merged) == merge_costs_reference(h, gt, costs, (a, b))
-    # asking again gives the same total: the result's plan is not consumed
-    assert now.cost_after_merge(h.members(a), h.members(b), costs) == cost_merged
+    merged = now.merged(h.members(a), h.members(b))
+    assert (now.total_cost, merged.total_cost) == merge_costs_reference(h, gt, costs, (a, b))
+    assert merged.counts() == op_cost(h.merged(a, b)[0], gt, costs).counts()
+    # asking again gives the same plan: merging does not consume this one
+    again = now.merged(h.members(a), h.members(b))
+    assert (again.total_cost, again.counts()) == (merged.total_cost, merged.counts())
+    assert now.total_cost == op_cost(h, gt, costs).total_cost
     state = State(partition=h, step=0)
     assert ground_truth_action(state, (a, b), gt, costs) is ground_truth_action_reference(
         state, (a, b), gt, costs
