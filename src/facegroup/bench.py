@@ -31,6 +31,9 @@ from .core import (  # noqa: F401
     CostModel,
     FaceItem,
     Partition,
+    SchemaError,
+    config_dict,
+    config_from_dict,
     ground_truth_partition,
     transition,
 )
@@ -43,10 +46,6 @@ from .recommend import Strategy, recommend  # noqa: F401
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-
-
-class SchemaError(ValueError):
-    """Malformed or incompatible file content."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_albums < 0:
+            raise ValueError(f"n_albums must be >= 0, got {self.n_albums}")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
         if self.identities[1] > self.dim:
@@ -88,12 +89,6 @@ class SimConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if self.profile_fraction + self.noise_fraction > 1.0:
             raise ValueError("profile and noise fractions must sum to at most 1")
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        for key in ("identities", "items_per_identity"):
-            d[key] = list(d[key])
-        return d
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -273,7 +268,7 @@ def evaluate(
     }
     return {
         "schema": SCHEMA_VERSION,
-        "config": config.to_dict(),
+        "config": config_dict(config),
         "n_albums": len(rows),
         "per_album": rows,
         "macro": macro,
@@ -400,7 +395,7 @@ def save_model(model: Policy, config: PolicyConfig, path: str) -> None:
         doc = {"schema": SCHEMA_VERSION, "kind": "forest", **model.to_dict()}
     else:
         raise ValueError(f"cannot serialize model of type {type(model)!r}")
-    doc["policy_config"] = config.to_dict()
+    doc["policy_config"] = config_dict(config)
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
@@ -422,13 +417,7 @@ def load_model(path: str) -> tuple[Policy, PolicyConfig]:
     if kind not in loaders:
         raise SchemaError(f"unknown model kind {kind!r}")
     try:
-        config = PolicyConfig.from_dict(doc["policy_config"])
-    except KeyError:
-        raise SchemaError("model file has no policy_config") from None
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"model policy_config: {exc}") from None
-    try:
-        return loaders[kind](doc), config
+        return loaders[kind](doc), config_from_dict(PolicyConfig, doc["policy_config"])
     except KeyError as exc:
         raise SchemaError(f"{kind} model: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

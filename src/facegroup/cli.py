@@ -1,25 +1,28 @@
 """Command-line entry point: simulate, train, group, eval.
 
 Configuration comes from an optional JSON file (sections "policy", "sim",
-"svm", "forest", "train") with individual flags overriding file values.
-The effective configuration is embedded in model and report files and
-written as a ``<output>.meta.json`` sidecar next to JSONL outputs, so every
-artifact records how it was produced.
+"svm", "forest", "train") with individual flags overriding file values;
+``core.config_from_dict`` reads each section and ``core.config_dict``
+writes the effective configuration into model and report files and into
+a ``<output>.meta.json`` sidecar next to JSONL outputs, so every artifact
+records how it was produced.
 
-Errors exit nonzero with a single machine-parsable line on stderr:
-``error:<category>: <detail>``.
+Errors exit 2 with a single machine-parsable line on stderr,
+``error:<category>: <detail>``: ``schema-mismatch`` for a file or key
+that does not fit its schema, ``missing-file`` for any path that does not
+exist, ``invalid-argument`` for a bad value, and the command's own
+categories.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
 
 from . import bench, train as train_mod
-from .core import CostModel
+from .core import SchemaError, config_dict, config_from_dict
 from .engine import PolicyConfig
 from .learn import ForestHyper, ForestModel, SvmHyper, SvmModel
 from .recommend import Strategy
@@ -36,62 +39,28 @@ class CliError(Exception):
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise CliError("missing-file", f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError("schema-mismatch", f"config file is not valid JSON: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise CliError("schema-mismatch", "config file must hold a JSON object")
+        raise SchemaError("config file must hold a JSON object")
     return doc
 
 
-def _parse_costs(text: str) -> CostModel:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError("invalid-argument", f"--costs expects add,remove,merge, got {text!r}")
-    try:
-        add, remove, merge = (float(p) for p in parts)
-        return CostModel(c_add=add, c_remove=remove, c_merge=merge)
-    except ValueError as exc:
-        raise CliError("invalid-argument", f"bad --costs value: {exc}") from None
-
-
-def _section(doc: dict, name: str, cls) -> dict:
-    """A copy of one config section, an object whose keys are fields of ``cls``."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise CliError("schema-mismatch", f"config section {name!r} must be a JSON object")
-    unknown = set(section) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise CliError("schema-mismatch", f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return dict(section)
-
-
-def _build(cls, section: dict, **overrides):
-    merged = {**section, **{k: v for k, v in overrides.items() if v is not None}}
-    try:
-        return cls(**merged)
-    except (TypeError, ValueError) as exc:
-        raise CliError("invalid-argument", f"bad {cls.__name__}: {exc}") from None
+def _config(doc: dict, section: str, cls, **flags):
+    """``cls`` from one section of the config file, with the flags that are set over it."""
+    values = doc.get(section, {})
+    if isinstance(values, dict):
+        values = {**values, **{k: v for k, v in flags.items() if v is not None}}
+    return config_from_dict(cls, values)
 
 
 def _policy_config(doc: dict, args) -> PolicyConfig:
-    section = _section(doc, "policy", PolicyConfig)
-    try:
-        config = PolicyConfig.from_dict(section)
-    except (TypeError, ValueError) as exc:
-        raise CliError("invalid-argument", f"bad policy section: {exc}") from None
-    overrides = {}
-    if getattr(args, "costs", None):
-        overrides["costs"] = _parse_costs(args.costs)
-    if getattr(args, "tau", None) is not None:
-        overrides["tau"] = args.tau
-    if getattr(args, "strategy", None):
-        overrides["strategy"] = Strategy(args.strategy)
-    return dataclasses.replace(config, **overrides)
+    costs = args.costs and [float(c) for c in args.costs.split(",")]
+    return _config(doc, "policy", PolicyConfig, costs=costs, tau=args.tau,
+                   strategy=args.strategy)
 
 
 def _write_sidecar(path: str, payload: dict) -> None:
@@ -100,33 +69,11 @@ def _write_sidecar(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_dataset(path: str, normalize: bool):
-    try:
-        return bench.load_dataset(path, normalize=normalize)
-    except FileNotFoundError:
-        raise CliError("missing-file", f"dataset not found: {path}") from None
-    except bench.SchemaError as exc:
-        raise CliError("schema-mismatch", str(exc)) from None
-
-
-def _load_model(path: str):
-    try:
-        return bench.load_model(path)
-    except FileNotFoundError:
-        raise CliError("missing-file", f"model not found: {path}") from None
-    except bench.SchemaError as exc:
-        raise CliError("schema-mismatch", str(exc)) from None
-
-
 def cmd_simulate(args) -> int:
-    doc = _load_config_file(args.config)
-    sim_section = _section(doc, "sim", bench.SimConfig)
-    if args.seed is not None:
-        sim_section["seed"] = args.seed
-    sim_cfg = _build(bench.SimConfig, sim_section)
+    sim_cfg = _config(_load_config_file(args.config), "sim", bench.SimConfig, seed=args.seed)
     albums = bench.simulate(sim_cfg)
     bench.save_dataset(albums, args.out)
-    _write_sidecar(args.out, {"command": "simulate", "sim": sim_cfg.to_dict()})
+    _write_sidecar(args.out, {"command": "simulate", "sim": config_dict(sim_cfg)})
     logger.info("wrote %d albums (%d items) to %s",
                 len(albums), sum(len(a) for a in albums), args.out)
     return 0
@@ -135,15 +82,11 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     doc = _load_config_file(args.config)
     policy_cfg = _policy_config(doc, args)
-    svm_hyper = _build(SvmHyper, _section(doc, "svm", SvmHyper))
-    forest_section = _section(doc, "forest", ForestHyper)
-    if "always_include" in forest_section:
-        forest_section["always_include"] = tuple(forest_section["always_include"])
-    forest_hyper = _build(ForestHyper, forest_section, seed=args.seed)
-    train_section = _section(doc, "train", train_mod.TrainConfig)
-    train_cfg = _build(train_mod.TrainConfig, train_section, seed=args.seed,
-                       reward_mode=args.reward_mode)
-    albums = _load_dataset(args.data, args.normalize)
+    svm_hyper = _config(doc, "svm", SvmHyper)
+    forest_hyper = _config(doc, "forest", ForestHyper, seed=args.seed)
+    train_cfg = _config(doc, "train", train_mod.TrainConfig, seed=args.seed,
+                        reward_mode=args.reward_mode)
+    albums = bench.load_dataset(args.data, normalize=args.normalize)
 
     svm = None
     # how training ended, without timings, so the sidecar is as deterministic as the model
@@ -166,7 +109,7 @@ def cmd_train(args) -> int:
     if args.stage == "q":
         if not args.svm_model:
             raise CliError("invalid-argument", "stage q requires --svm-model")
-        svm, _ = _load_model(args.svm_model)
+        svm, _ = bench.load_model(args.svm_model)
         if not isinstance(svm, SvmModel):
             raise CliError("schema-mismatch", f"{args.svm_model} is not an svm model")
     q_result = train_mod.q_train(albums, svm, policy_cfg, forest_hyper, train_cfg)
@@ -181,8 +124,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_group(args) -> int:
-    albums = _load_dataset(args.data, args.normalize)
-    model, policy_cfg = _load_model(args.model)
+    albums = bench.load_dataset(args.data, normalize=args.normalize)
+    model, policy_cfg = bench.load_model(args.model)
     _check_dim(model, albums, policy_cfg)
     entries = []
     traces = []
@@ -193,7 +136,7 @@ def cmd_group(args) -> int:
     bench.save_partitions(entries, args.out_partitions)
     _write_sidecar(
         args.out_partitions,
-        {"command": "group", "model": args.model, "policy": policy_cfg.to_dict()},
+        {"command": "group", "model": args.model, "policy": config_dict(policy_cfg)},
     )
     if args.trace:
         bench.export_trace(traces, args.trace)
@@ -216,21 +159,15 @@ def _check_dim(model, albums, policy_cfg) -> None:
 def cmd_eval(args) -> int:
     if args.jobs < 1:
         raise CliError("invalid-argument", f"--jobs must be >= 1, got {args.jobs}")
-    albums = _load_dataset(args.data, args.normalize)
+    albums = bench.load_dataset(args.data, normalize=args.normalize)
     if (args.partitions is None) == (args.model is None):
         raise CliError("invalid-argument", "provide exactly one of --partitions or --model")
     if args.partitions:
-        try:
-            partitions = bench.load_partitions(albums, args.partitions)
-        except FileNotFoundError:
-            raise CliError("missing-file", f"partitions not found: {args.partitions}") from None
-        except bench.SchemaError as exc:
-            raise CliError("schema-mismatch", str(exc)) from None
-        doc = _load_config_file(args.config)
-        policy_cfg = _policy_config(doc, args)
+        partitions = bench.load_partitions(albums, args.partitions)
+        policy_cfg = _policy_config(_load_config_file(args.config), args)
         report = bench.evaluate(albums, None, policy_cfg, partitions=partitions)
     else:
-        model, policy_cfg = _load_model(args.model)
+        model, policy_cfg = bench.load_model(args.model)
         _check_dim(model, albums, policy_cfg)
         report = bench.evaluate(albums, model, policy_cfg, jobs=args.jobs)
     if args.cost_sweep:
@@ -241,7 +178,7 @@ def cmd_eval(args) -> int:
                     "invalid-argument", f"--cost-sweep expects NAME=MODEL, got {entry!r}"
                 )
             name, path = entry.split("=", 1)
-            policies[name], _ = _load_model(path)
+            policies[name], _ = bench.load_model(path)
         report["sweep"] = bench.pr_sweep(albums, policies, policy_cfg, jobs=args.jobs)
     with open(args.report, "w") as fh:
         json.dump(report, fh, sort_keys=True)
@@ -315,11 +252,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error:{exc.category}: {exc}", file=sys.stderr)
-        return 2
+        category, detail = exc.category, exc
+    except SchemaError as exc:
+        category, detail = "schema-mismatch", exc
+    except FileNotFoundError as exc:
+        category, detail = "missing-file", f"no such file or directory: {exc.filename}"
     except (ValueError, OSError) as exc:
-        print(f"error:invalid-argument: {exc}", file=sys.stderr)
-        return 2
+        category, detail = "invalid-argument", exc
+    print(f"error:{category}: {detail}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

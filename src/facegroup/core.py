@@ -10,7 +10,9 @@ business: its queue consumes each pair it hands out.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -20,6 +22,10 @@ import numpy as np
 NOISE = "NOISE"
 
 UNIT_NORM_TOL = 1e-9
+
+
+class SchemaError(ValueError):
+    """Malformed or incompatible file content, or a config key that does not exist."""
 
 
 class Action(Enum):
@@ -39,6 +45,67 @@ class CostModel:
         for name in ("c_add", "c_remove", "c_merge"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails both
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+
+
+# The JSON values each scalar field type of a config takes, by type() and not
+# isinstance(), so that a JSON true is neither an integer nor a number.
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          bool: ((bool,), "true or false"), str: ((str,), "a string")}
+
+
+def config_dict(cfg) -> dict:
+    """A config dataclass as JSON values: a tuple as a list, an Enum as its
+    value and a ``CostModel`` as [add, remove, merge]."""
+
+    def plain(v):
+        if isinstance(v, CostModel):
+            return [v.c_add, v.c_remove, v.c_merge]
+        if isinstance(v, Enum):
+            return v.value
+        return list(v) if isinstance(v, tuple) else v
+
+    return {f.name: plain(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
+
+
+def config_from_dict(cls, d):
+    """Inverse of ``config_dict``: the config dataclass ``cls`` from a JSON
+    object, with defaults for missing keys and every value as it was given.
+
+    A value must fit its field's type: an integer field takes a JSON
+    integer, a number field any number, neither takes a boolean, and a
+    tuple or ``CostModel`` field takes a list of the right length. A value
+    of the wrong type or out of range raises ValueError; an unknown key,
+    or ``d`` not being an object, raises SchemaError.
+    """
+    if not isinstance(d, dict):
+        raise SchemaError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise SchemaError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{name: _field_value(name, hints[name], v) for name, v in d.items()})
+
+
+def _field_value(name: str, hint, value):
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            choices = [m.value for m in hint]
+            raise ValueError(f"{name} must be one of {choices}, got {value!r}") from None
+    if hint is CostModel:
+        return CostModel(*_field_value(name, tuple[float, float, float], value))
+    if typing.get_origin(hint) is not tuple:
+        if type(value) not in _KINDS[hint][0]:
+            raise ValueError(f"{name} must be {_KINDS[hint][1]}, got {value!r}")
+        return value
+    kind, *rest = typing.get_args(hint)  # (int, int) or (int, ...)
+    length = None if rest == [Ellipsis] else 1 + len(rest)
+    if not (isinstance(value, list) and length in (None, len(value))
+            and all(type(v) in _KINDS[kind][0] for v in value)):
+        raise ValueError(f"{name} must be a list of {length or 'any number of'} values, "
+                         f"each {_KINDS[kind][1]}, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)

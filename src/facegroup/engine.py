@@ -11,7 +11,6 @@ truth, the episode itself is the expert.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 import zlib
 from collections import deque
@@ -68,28 +67,6 @@ class PolicyConfig:
             raise ValueError("eta and k_steps must be positive")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        d["costs"] = [self.costs.c_add, self.costs.c_remove, self.costs.c_merge]
-        d["strategy"] = self.strategy.value
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "PolicyConfig":
-        """Inverse of ``to_dict``, defaults for missing keys. Unknown keys, a
-        ``costs`` list other than [add, remove, merge] and bad values raise ValueError."""
-        d = dict(d)
-        unknown = set(d) - {f.name for f in dataclasses.fields(PolicyConfig)}
-        if unknown:
-            raise ValueError(f"unknown PolicyConfig keys: {sorted(unknown)}")
-        if "costs" in d:
-            if len(d["costs"]) != 3:
-                raise ValueError(f"costs must be [add, remove, merge], got {d['costs']!r}")
-            d["costs"] = CostModel(*d["costs"])
-        if "strategy" in d:
-            d["strategy"] = Strategy(d["strategy"])
-        return PolicyConfig(**d)
 
 
 def action_flag(action: Action) -> float:

@@ -7,10 +7,12 @@ file format lives in ``bench``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
+
+from .core import config_dict, config_from_dict
 
 # Full kernel matrix is cached below this many samples; above it, rows are
 # recomputed on demand (O(n*d) each, negligible next to the cache memory).
@@ -340,27 +342,13 @@ class ForestModel:
                 "right": np.where(leaf, -1, self.right[lo:hi] - lo).tolist(),
                 "value": self.value[lo:hi].tolist(),
             })
-        return {
-            "dim": self.dim,
-            "n_trees": self.hyper.n_trees,
-            "max_depth": self.hyper.max_depth,
-            "min_leaf": self.hyper.min_leaf,
-            "feature_frac": self.hyper.feature_frac,
-            "seed": self.hyper.seed,
-            "always_include": list(self.hyper.always_include),
-            "trees": trees,
-        }
+        return {"dim": self.dim, **config_dict(self.hyper), "trees": trees}
 
     @staticmethod
     def from_dict(d: dict) -> "ForestModel":
-        hyper = ForestHyper(
-            n_trees=int(d["n_trees"]),
-            max_depth=int(d["max_depth"]),
-            min_leaf=int(d["min_leaf"]),
-            feature_frac=float(d["feature_frac"]),
-            seed=int(d["seed"]),
-            always_include=tuple(d["always_include"]),
-        )
+        """Inverse of ``to_dict``; a missing key raises KeyError, a malformed
+        hyperparameter or tree ValueError."""
+        hyper = config_from_dict(ForestHyper, {f.name: d[f.name] for f in fields(ForestHyper)})
         dim = int(d["dim"])
         trees = [_tree_from_dict(t, dim) for t in d["trees"]]
         if not trees:

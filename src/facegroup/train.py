@@ -95,11 +95,15 @@ class IrlResult:
 
 
 def _labeled_pairs(albums: list[Album], gts: list[Partition] | None):
+    """(album, ground truth) pairs in album-id order, so that training does
+    not depend on the order of ``albums``."""
     if gts is None:
         gts = [ground_truth_partition(a) for a in albums]
     if len(gts) != len(albums):
         raise ValueError("one ground-truth partition per album required")
-    return list(zip(albums, gts))
+    if len({a.album_id for a in albums}) != len(albums):
+        raise ValueError("album ids must be unique")
+    return sorted(zip(albums, gts), key=lambda pair: pair[0].album_id)
 
 
 def expert_trajectory(
@@ -251,7 +255,9 @@ def q_train(
         forest_hyper = ForestHyper(always_include=(q_dim - 1,), seed=train_cfg.seed)
     elif not forest_hyper.always_include:
         forest_hyper = dataclasses.replace(forest_hyper, always_include=(q_dim - 1,))
-    contexts = {a.album_id: AlbumContext(a) for a in albums}
+    if not all(0 <= f < q_dim for f in forest_hyper.always_include):
+        raise ValueError(f"always_include must hold feature indices in [0, {q_dim})")
+    contexts = {a.album_id: AlbumContext(a) for a, _ in pairs}
     use_pm1 = train_cfg.reward_mode == "pm1"
 
     # Bootstrap targets from the myopic stage: both actions of every state

@@ -114,7 +114,17 @@ def test_eval_requires_exactly_one_source(tmp_path, small_config, capsys):
     assert capsys.readouterr().err.startswith("error:invalid-argument:")
 
 
-@pytest.mark.parametrize("policy_config", [{"bogus": 1}, {"costs": [1, 6]}])
+@pytest.mark.parametrize(
+    "policy_config",
+    [
+        {"bogus": 1},
+        {"costs": [1, 6]},
+        pytest.param({"eta": 2.5}, id="eta-float"),
+        pytest.param({"eta": True}, id="eta-bool"),
+        pytest.param({"use_quality": "no"}, id="use_quality-string"),
+        pytest.param({"k_steps": 1.0}, id="k_steps-float"),
+    ],
+)
 def test_bad_policy_config_in_model_is_schema_mismatch(tmp_path, small_config, capsys,
                                                        policy_config):
     from facegroup.bench import save_model
@@ -134,6 +144,34 @@ def test_bad_policy_config_in_model_is_schema_mismatch(tmp_path, small_config, c
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:schema-mismatch:")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_trees", "40"), ("n_trees", 2.5), ("seed", True), ("always_include", [22.0])],
+)
+def test_bad_forest_hyper_in_model_is_schema_mismatch(tmp_path, small_config, capsys,
+                                                      key, value):
+    import numpy as np
+
+    from facegroup.bench import save_model
+    from facegroup.engine import PolicyConfig
+    from facegroup.learn import ForestHyper, forest_fit
+
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", small_config, "--out", data])
+    rng = np.random.Generator(np.random.PCG64(0))
+    forest = forest_fit(rng.random((40, 23)), rng.random(40), ForestHyper(n_trees=2))
+    model = tmp_path / "m.json"
+    save_model(forest, PolicyConfig(), str(model))
+    doc = json.loads(model.read_text())
+    doc[key] = value
+    model.write_text(json.dumps(doc))
+    expect_schema_mismatch(
+        ["group", "--data", data, "--model", str(model),
+         "--out-partitions", str(tmp_path / "p.jsonl")],
+        capsys,
+    )
 
 
 def expect_schema_mismatch(argv, capsys):
@@ -393,6 +431,19 @@ def test_train_sidecar_records_how_training_ended(tmp_path, small_config):
         ("policy", "epsilon0", 2.0),
         pytest.param("policy", "costs", [float("nan"), 6, 1], id="policy-costs-nan"),
         pytest.param("policy", "costs", [1, 6, float("inf")], id="policy-costs-inf"),
+        # a value of the wrong JSON type
+        ("policy", "eta", 2.5),
+        ("policy", "eta", True),
+        ("policy", "k_steps", 1.5),
+        ("policy", "epsilon_decay_episodes", 2.5),
+        ("policy", "use_quality", "no"),
+        pytest.param("policy", "costs", [1, True, 1], id="policy-costs-bool"),
+        ("forest", "n_trees", 2.5),
+        pytest.param("forest", "always_include", [22.5], id="forest-always_include-float"),
+        pytest.param("forest", "always_include", [23], id="forest-always_include-23"),
+        pytest.param("forest", "always_include", [-1], id="forest-always_include--1"),
+        ("svm", "max_passes", 2.5),
+        ("train", "max_epochs", 1.5),
     ],
 )
 def test_config_value_out_of_range(tmp_path, small_config, capsys, section, key, value):
@@ -420,3 +471,76 @@ def test_eval_flag_out_of_range(tmp_path, small_config, capsys, flag, value):
                 "--report", str(tmp_path / "r.json"), flag, value]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:invalid-argument:"), err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_albums", 1.5),
+        ("n_albums", -1),
+        ("dim", 16.0),
+        ("seed", 2.5),
+        pytest.param("identities", [2.5, 3], id="identities-float"),
+        pytest.param("identities", [2, 3, 4], id="identities-three"),
+        pytest.param("items_per_identity", [4], id="items_per_identity-one"),
+    ],
+)
+def test_sim_config_value_out_of_range(tmp_path, capsys, key, value):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"sim": {"n_albums": 1, key: value}}))
+    out = tmp_path / "d.jsonl"
+    capsys.readouterr()
+    assert run(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:invalid-argument:"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "{absent}/c.json", "--out", "{tmp}/d.jsonl"],
+        ["simulate", "--out", "{absent}/d.jsonl"],
+        ["train", "--data", "{absent}/d.jsonl", "--out-model", "{tmp}/m.json"],
+        ["train", "--data", "{data}", "--out-model", "{absent}/m.json", "--stage", "irl"],
+        ["group", "--data", "{data}", "--model", "{absent}/m.json",
+         "--out-partitions", "{tmp}/p.jsonl"],
+        ["eval", "--data", "{data}", "--partitions", "{absent}/p.jsonl",
+         "--report", "{tmp}/r.json"],
+        ["eval", "--data", "{data}", "--partitions", "{parts}", "--report", "{absent}/r.json"],
+    ],
+    ids=["config-in", "dataset-out", "dataset-in", "model-out", "model-in", "partitions-in",
+         "report-out"],
+)
+def test_missing_path_is_missing_file(tmp_path, small_config, capsys, argv):
+    # a path that does not exist, read or written, is one category
+    from facegroup.bench import load_dataset, save_partitions
+    from facegroup.core import ground_truth_partition
+
+    data, parts = tmp_path / "data.jsonl", tmp_path / "parts.jsonl"
+    run(["simulate", "--config", small_config, "--out", str(data)])
+    save_partitions([(a, ground_truth_partition(a)) for a in load_dataset(str(data))],
+                    str(parts))
+    paths = {"absent": tmp_path / "absent", "tmp": tmp_path, "data": data, "parts": parts}
+    capsys.readouterr()
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:missing-file:"), err
+
+
+def test_model_does_not_depend_on_album_order_in_the_dataset(tmp_path, small_config):
+    data = tmp_path / "data.jsonl"
+    run(["simulate", "--config", small_config, "--out", str(data)])
+    blocks: dict[str, list[str]] = {}
+    for line in data.read_text().splitlines(keepends=True):
+        blocks.setdefault(json.loads(line)["album_id"], []).append(line)
+    reversed_data = tmp_path / "reversed.jsonl"
+    reversed_data.write_text("".join(line for block in reversed(blocks.values())
+                                     for line in block))
+    models = []
+    for name, path in (("forward", data), ("reversed", reversed_data)):
+        model = tmp_path / f"{name}.json"
+        assert run(["train", "--data", str(path), "--out-model", str(model),
+                    "--config", small_config, "--seed", "3"]) == 0
+        models.append((model.read_bytes(), (tmp_path / f"{name}.json.svm.json").read_bytes()))
+    assert models[0] == models[1]

@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facegroup.bench import SimConfig
 from facegroup.core import (
     NOISE,
     Action,
@@ -10,11 +14,18 @@ from facegroup.core import (
     CostModel,
     FaceItem,
     Partition,
+    SchemaError,
     State,
+    config_dict,
+    config_from_dict,
     ground_truth_action,
     ground_truth_partition,
     transition,
 )
+from facegroup.engine import PolicyConfig
+from facegroup.learn import ForestHyper, SvmHyper
+from facegroup.recommend import Strategy
+from facegroup.train import TrainConfig
 
 from conftest import make_item
 
@@ -303,3 +314,70 @@ class TestGroundTruthAction:
         gt = Partition.from_groups([{0, 1}, {3}])
         with pytest.raises(ValueError, match="item set"):
             ground_truth_action(state, (2, 3), gt, self.costs)
+
+
+# The config file's sections, as README documents them.
+SECTIONS = {"policy": PolicyConfig, "sim": SimConfig, "svm": SvmHyper,
+            "forest": ForestHyper, "train": TrainConfig}
+
+
+class TestConfigCodec:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            *(cls() for cls in SECTIONS.values()),
+            PolicyConfig(beta=1, gamma=0.0, eta=3, k_steps=2, epsilon0=1.0,
+                         epsilon_decay_episodes=7, costs=CostModel(2, 3.5, 1), tau=1.0,
+                         strategy=Strategy.RANDOM, use_quality=False),
+            SimConfig(n_albums=2, identities=(1, 3), items_per_identity=(2, 2), dim=4,
+                      noise_fraction=0.0, q_jitter=0, seed=9),
+            SvmHyper(c_reg=0.5, gamma=1, tol=1e-4, max_passes=3),
+            ForestHyper(n_trees=2, max_depth=3, min_leaf=1, feature_frac=1, seed=5,
+                        always_include=(0, 4)),
+            TrainConfig(max_epochs=2, refit_every=1, seed=4, reward_mode="pm1"),
+        ],
+        ids=lambda cfg: type(cfg).__name__,
+    )
+    def test_round_trip_through_json(self, cfg):
+        d = json.loads(json.dumps(config_dict(cfg)))
+        back = config_from_dict(type(cfg), d)
+        assert back == cfg
+        assert config_dict(back) == d
+
+    def test_valid_values_are_kept_as_given(self):
+        d = config_dict(config_from_dict(PolicyConfig, {"beta": 1, "costs": [1, 6, 1]}))
+        assert type(d["beta"]) is int and [type(c) for c in d["costs"]] == [int] * 3
+
+    def test_unknown_key_and_non_object_are_schema_errors(self):
+        with pytest.raises(SchemaError, match="unknown TrainConfig keys"):
+            config_from_dict(TrainConfig, {"seed": 1, "buffer_capacity": 10})
+        with pytest.raises(SchemaError, match="JSON object"):
+            config_from_dict(SvmHyper, [1])
+
+    @pytest.mark.parametrize(
+        "cls, key, value",
+        [
+            (PolicyConfig, "eta", 2.5),
+            (PolicyConfig, "eta", True),
+            (PolicyConfig, "beta", False),
+            (PolicyConfig, "use_quality", 1),
+            (PolicyConfig, "strategy", "nearest"),
+            (PolicyConfig, "costs", (1, 6, 1)),
+            (SimConfig, "identities", [2, 3, 4]),
+            (ForestHyper, "always_include", [1.0]),
+            (TrainConfig, "reward_mode", None),
+        ],
+    )
+    def test_value_of_the_wrong_type_is_a_value_error(self, cls, key, value):
+        with pytest.raises(ValueError, match=key) as info:
+            config_from_dict(cls, {key: value})
+        assert not isinstance(info.value, SchemaError)
+
+    def test_readme_configuration_block_holds_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Configuration file", 1)[1].split("```json\n", 1)[1]
+        doc = json.loads(block.split("```", 1)[0])
+        assert set(doc) == set(SECTIONS)
+        for name, cls in SECTIONS.items():
+            assert doc[name] == config_dict(cls()), name
+            assert config_from_dict(cls, doc[name]) == cls(), name

@@ -8,6 +8,9 @@ from facegroup.core import (
     Album,
     CostModel,
     Partition,
+    SchemaError,
+    config_dict,
+    config_from_dict,
     ground_truth_action,
     ground_truth_partition,
 )
@@ -410,14 +413,14 @@ def test_policy_config_validation():
         PolicyConfig(gamma=1.0)
     with pytest.raises(ValueError):
         PolicyConfig(beta=-0.1)
-    with pytest.raises(ValueError, match="unknown"):
-        PolicyConfig.from_dict({"bogus": 1})
+    with pytest.raises(SchemaError, match="unknown"):
+        config_from_dict(PolicyConfig, {"bogus": 1})
     with pytest.raises(ValueError, match="costs"):
-        PolicyConfig.from_dict({"costs": [1, 6]})
+        config_from_dict(PolicyConfig, {"costs": [1, 6]})
 
 
 def test_policy_config_round_trip():
     cfg = PolicyConfig(
         beta=0.5, gamma=0.0, eta=3, costs=CostModel(1, 2, 3), strategy=Strategy.RANDOM
     )
-    assert PolicyConfig.from_dict(cfg.to_dict()) == cfg
+    assert config_from_dict(PolicyConfig, config_dict(cfg)) == cfg

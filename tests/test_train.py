@@ -1,10 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facegroup.bench import SimConfig, evaluate, simulate
 from facegroup.core import Action, Album, ground_truth_partition
 from facegroup.engine import PolicyConfig
-from facegroup.learn import SvmHyper
+from facegroup.learn import ForestHyper, SvmHyper, constant_svm
 from facegroup.train import TrainConfig, expert_trajectory, irl_train, q_train
 
 from conftest import make_item
@@ -146,3 +150,30 @@ class TestQTrain:
         a = q_train(self.albums, self.svm, self.config, train_cfg=TrainConfig(seed=3))
         b = q_train(self.albums, self.svm, self.config, train_cfg=TrainConfig(seed=3))
         assert a.model.to_dict() == b.model.to_dict()
+
+
+@functools.cache
+def trained_in_order(order: tuple[int, ...]) -> tuple[dict, dict]:
+    """Both stages' models, trained on easy_sim()'s albums in ``order``."""
+    albums = [easy_sim()[i] for i in order]
+    gts = [ground_truth_partition(a) for a in albums]
+    config = PolicyConfig(epsilon_decay_episodes=6)
+    irl = irl_train(albums, config, SVM_HYPER, TrainConfig(seed=3), gts=gts)
+    q = q_train(albums, irl.model, config, ForestHyper(n_trees=5, seed=3),
+                TrainConfig(seed=3, refit_every=3), gts=gts)
+    return irl.model.to_dict(), q.model.to_dict()
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.permutations(range(3)))
+def test_training_does_not_depend_on_album_order(order):
+    assert trained_in_order(tuple(order)) == trained_in_order((0, 1, 2))
+
+
+def test_duplicate_album_ids_are_rejected():
+    first, second = easy_sim(n_albums=2)
+    twin = Album(album_id=first.album_id, items=second.items)
+    with pytest.raises(ValueError, match="unique"):
+        irl_train([first, twin], PolicyConfig(), SVM_HYPER)
+    with pytest.raises(ValueError, match="unique"):
+        q_train([first, twin], constant_svm(22, 1.0), PolicyConfig())
