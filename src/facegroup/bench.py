@@ -82,6 +82,10 @@ class SimConfig:
             raise ValueError(f"n_albums must be >= 0, got {self.n_albums}")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
+        for name in ("identities", "items_per_identity"):
+            low, high = getattr(self, name)
+            if not 1 <= low <= high:
+                raise ValueError(f"{name} must have 1 <= low <= high, got {[low, high]}")
         if self.identities[1] > self.dim:
             raise ValueError("at most dim identities fit per album")
         for name in ("profile_fraction", "noise_fraction"):

@@ -83,10 +83,12 @@ def config_from_dict(cls, d):
     if unknown:
         raise SchemaError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
-    return cls(**{name: _field_value(name, hints[name], v) for name, v in d.items()})
+    return cls(**{name: field_value(name, hints[name], v) for name, v in d.items()})
 
 
-def _field_value(name: str, hint, value):
+def field_value(name: str, hint, value):
+    """``value`` as the config field ``name`` of type ``hint`` takes it from
+    JSON; ValueError if it does not fit."""
     if isinstance(hint, type) and issubclass(hint, Enum):
         try:
             return hint(value)
@@ -94,7 +96,7 @@ def _field_value(name: str, hint, value):
             choices = [m.value for m in hint]
             raise ValueError(f"{name} must be one of {choices}, got {value!r}") from None
     if hint is CostModel:
-        return CostModel(*_field_value(name, tuple[float, float, float], value))
+        return CostModel(*field_value(name, tuple[float, float, float], value))
     if typing.get_origin(hint) is not tuple:
         if type(value) not in _KINDS[hint][0]:
             raise ValueError(f"{name} must be {_KINDS[hint][1]}, got {value!r}")

@@ -63,8 +63,9 @@ class PolicyConfig:
             raise ValueError(f"epsilon0 must be in [0, 1], got {self.epsilon0}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
-        if self.eta < 1 or self.k_steps < 1:
-            raise ValueError("eta and k_steps must be positive")
+        for name in ("eta", "k_steps", "epsilon_decay_episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
 
@@ -91,31 +92,35 @@ class QMemo:
     a value scored early is the value the pair would get when proposed. A
     miss scores the proposed pair together with the next ``LOOKAHEAD``
     pairs the HC queue would hand out (the random strategy has none), in
-    one ``predict_many``; a later proposal of one of them is answered here.
+    one ``predict_many``; a later proposal of one takes its values and features from here.
     """
 
     def __init__(self, model: ForestModel, queue: PairQueue, use_quality: bool):
         self.model, self.queue, self.use_quality = model, queue, use_quality
-        self.memo: dict[tuple[int, int], tuple[float, float]] = {}
+        self.memo: dict[tuple[int, int], tuple[float, float, np.ndarray]] = {}
+
+    def features(self, candidate: tuple[int, int]) -> np.ndarray | None:
+        """The feature row scored ahead for ``candidate``; None on a miss."""
+        hit = self.memo.get(candidate)
+        return None if hit is None else hit[2]
 
     def values(self, candidate: tuple[int, int], phi: np.ndarray) -> tuple[float, float]:
         hit = self.memo.pop(candidate, None)
         if hit is not None:
-            return hit
+            return hit[:2]
         queue = self.queue
         held = [e for e in queue.upcoming(LOOKAHEAD) if e[:2] not in self.memo]
-        phis = phi[None]
+        m = 1 + len(held)
+        X = np.empty((2 * m, phi.shape[0] + 1))
+        X[0, :-1] = phi
         if held:
-            blocks = np.stack([queue.held_blocks(*e) for e in held])
-            held_phis = pair_features(queue, [e[:2] for e in held], blocks, self.use_quality)
-            phis = np.vstack([phis, held_phis])
-        m = len(phis)
-        X = np.empty((2 * m, phis.shape[1] + 1))
-        X[:m, :-1] = X[m:, :-1] = phis
+            blocks = [queue.held_blocks(*e) for e in held]
+            X[1:m, :-1] = pair_features(queue, [e[:2] for e in held], blocks, self.use_quality)
+        X[m:, :-1] = X[:m, :-1]
         X[:m, -1], X[m:, -1] = 1.0, -1.0
         q = self.model.predict_many(X).tolist()
         for r, e in enumerate(held, 1):
-            self.memo[e[:2]] = (q[r], q[m + r])
+            self.memo[e[:2]] = (q[r], q[m + r], X[r, :-1].copy())
         return q[0], q[m]
 
 
@@ -161,7 +166,7 @@ def episode(
     act: Callable[[State, tuple[int, int], np.ndarray], Action] | None,
     gt: Partition | None = None,
     rng: np.random.Generator | None = None,
-    queue: PairQueue | None = None,
+    memo: QMemo | None = None,
 ) -> Iterator[Step]:
     """Play one episode on the album of ``ctx``, yielding every decision;
     ``act(state, candidate, phi)`` decides each recommended pair.
@@ -173,12 +178,11 @@ def episode(
     initial partition) minus its total now. Without one no label is read.
     ``rng`` feeds the RANDOM recommender; an actor that draws from the same
     generator, as epsilon-greedy play does, draws after its step's recommend.
-    ``queue``, a fresh ``PairQueue`` of ``ctx`` and ``config``, lets the
-    actor look ahead in the episode's recommender.
+    ``memo``, a forest actor's ``QMemo`` over a fresh ``PairQueue`` of ``ctx``
+    and ``config``, lends the episode its queue and the feature rows it scored ahead.
     """
     state = State.initial(len(ctx))
-    if queue is None:
-        queue = PairQueue(ctx, config.eta, config.tau)
+    queue = PairQueue(ctx, config.eta, config.tau) if memo is None else memo.queue
     plan = expert = None
     if gt is not None:
         plan = op_cost(state.partition, gt, config.costs)
@@ -190,7 +194,9 @@ def episode(
         candidate = recommend(state, queue, config.strategy, rng=rng)
         if candidate is None:
             return
-        phi = extract_features(state, candidate, queue, config.use_quality)
+        phi = None if memo is None else memo.features(candidate)
+        if phi is None:
+            phi = extract_features(state, candidate, queue, config.use_quality)
         if plan is not None:
             expert, merged = plan.expert(*map(state.partition.members, candidate))
         action = expert if act is None else act(state, candidate, phi)
@@ -249,8 +255,9 @@ def run_episode(
     partition = Partition.from_singletons(len(album))
     margin = 0.0
     ctx = ctx or AlbumContext(album)
-    queue = PairQueue(ctx, config.eta, config.tau)
-    memo = QMemo(policy, queue, config.use_quality) if isinstance(policy, ForestModel) else None
+    memo = None
+    if isinstance(policy, ForestModel):
+        memo = QMemo(policy, PairQueue(ctx, config.eta, config.tau), config.use_quality)
 
     def act(state, candidate, phi):
         nonlocal margin
@@ -259,7 +266,7 @@ def run_episode(
         margin = policy.decision(phi)
         return Action.MERGE if margin > 0 else Action.NOT_MERGE
 
-    for step in episode(ctx, config, act, rng=rng, queue=queue):
+    for step in episode(ctx, config, act, rng=rng, memo=memo):
         # a literal for the forest: -1.0 * 0.0 would write -0.0 to the trace
         r_short = 0.0 if isinstance(policy, ForestModel) else action_flag(step.action) * margin
         steps.append(StepRecord(step.state.step, step.candidate, step.action, step.phi,

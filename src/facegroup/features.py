@@ -126,15 +126,17 @@ def pair_distance(
     """
     steps = np.arange(eta)
     sizes = np.bincount(label, minlength=cols.shape[0])
-    first = np.cumsum(sizes) - sizes
+    first = sizes.cumsum() - sizes
     # b's column over all items, grouped by label and ascending within a group
     col_b = cols[b][np.lexsort((cols[b], label))]
     block_g = col_b[first[others, None] + np.minimum(steps, sizes[others, None] - 1)]
-    idx_b = np.flatnonzero(label == b)
-    block_b = np.sort(cols[np.ix_(others, idx_b)], axis=1)[:, np.minimum(steps, idx_b.size - 1)]
-    # numpy sums a C-contiguous row as it sums a 1-d block, bit for bit; a
-    # strided row is summed in another order.
-    block_g, block_b = np.ascontiguousarray(block_g), np.ascontiguousarray(block_b)
+    idx_b = (label == b).nonzero()[0]
+    block_b = cols[others[:, None], idx_b]
+    block_b.sort(axis=1)
+    if idx_b.size != eta:
+        # numpy sums a C-contiguous row as it sums a 1-d block, bit for bit;
+        # a strided row, as a column pick leaves it, is summed in another order.
+        block_b = np.ascontiguousarray(block_b[:, np.minimum(steps, idx_b.size - 1)])
     sums = block_g.sum(axis=1) + block_b.sum(axis=1)
     return sums / (2 * eta), block_g, block_b
 

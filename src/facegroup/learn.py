@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import config_dict, config_from_dict
+from .core import config_dict, config_from_dict, field_value
 
 # Full kernel matrix is cached below this many samples; above it, rows are
 # recomputed on demand (O(n*d) each, negligible next to the cache memory).
@@ -90,13 +90,11 @@ class SvmModel:
     @staticmethod
     def from_dict(d: dict) -> "SvmModel":
         """Inverse of ``to_dict``; a missing key raises KeyError, malformed
-        arrays raise ValueError."""
+        arrays or a scalar that is not a JSON number ValueError."""
         model = SvmModel(
             support_vectors=np.asarray(d["support_vectors"], dtype=np.float64),
             coef=np.asarray(d["coef"], dtype=np.float64),
-            bias=float(d["bias"]),
-            gamma=float(d["gamma"]),
-            c_reg=float(d["c_reg"]),
+            **{key: float(field_value(key, float, d[key])) for key in ("bias", "gamma", "c_reg")},
         )
         sv = model.support_vectors
         if sv.ndim != 2 or sv.shape[0] == 0 or model.coef.shape != (sv.shape[0],):
@@ -316,15 +314,29 @@ class ForestModel:
     dim: int
     hyper: ForestHyper
 
+    @cached_property
+    def _descent(self) -> tuple[np.ndarray, int]:
+        """The (2, nodes) child table, row 0 where ``x <= threshold``, and
+        the number of levels after which every descent is at a leaf."""
+        children = np.stack([self.left, self.right])
+        level, depth = self.roots[:-1], 0
+        while not self.leaf[level].all():
+            reached = np.zeros(self.leaf.shape, dtype=bool)  # each node once
+            reached[children[:, level]] = True
+            level, depth = reached.nonzero()[0], depth + 1
+        return children, depth
+
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {X.shape[1]}")
-        rows = np.arange(X.shape[0])
+        children, depth = self._descent
+        flat, start = X.ravel(), np.arange(X.shape[0]) * self.dim
         node = np.repeat(self.roots[:-1, None], X.shape[0], axis=1)  # (tree, row)
-        while not self.leaf[node].all():
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
+        for _ in range(depth):
+            # not `x > threshold`: a NaN goes right
+            go_right = ~(flat[start + self.feature[node]] <= self.threshold[node])
+            node = children.ravel()[node + children.shape[1] * go_right]
         # a running sum from +0.0 in tree order (accumulate adds one row at a
         # time), so each mean rounds, and signs a zero, as it always has
         values = np.vstack([np.zeros(X.shape[0]), self.value[node]])
@@ -349,7 +361,7 @@ class ForestModel:
         """Inverse of ``to_dict``; a missing key raises KeyError, a malformed
         hyperparameter or tree ValueError."""
         hyper = config_from_dict(ForestHyper, {f.name: d[f.name] for f in fields(ForestHyper)})
-        dim = int(d["dim"])
+        dim = field_value("dim", int, d["dim"])
         trees = [_tree_from_dict(t, dim) for t in d["trees"]]
         if not trees:
             raise ValueError("forest has no trees")

@@ -52,10 +52,11 @@ class PairQueue:
     ``extract_features`` lays them out: row ``row`` of ``kept[gid_b]``,
     the blocks measured when its newer group gid_b appeared, which are
     dropped when gid_b retires. A pair of the start keeps row -1 instead:
-    both its groups are singletons, so each block is one value of their
-    median columns, repeated. HC keeps the pairs in a heap of
-    ``(distance, gid_a, gid_b, row)``, gid_a < gid_b, and drops entries of
-    retired ids lazily. RANDOM moves them, at its first draw, to
+    both its groups are singletons, so each block is the distance of their
+    two items (``start_items``, by slot), repeated. HC keeps the pairs in a
+    heap of ``(distance, gid_a, gid_b, row)``, gid_a < gid_b, and drops entries of
+    retired ids lazily, or all at once when the heap outgrows twice the
+    pairs of live groups. RANDOM moves them, at its first draw, to
     ``order``: the pairs in (gid_a, gid_b) order, with their rows in
     ``order_rows``. A pair handed out leaves the queue. A queue follows one
     episode forward; it rejects a partition that does not descend from the
@@ -75,6 +76,7 @@ class PairQueue:
         self.next_gid = 0
         self.heap: list[tuple[float, int, int, int]] = []
         self.kept: dict[int, np.ndarray] = {}
+        self.start_items = np.empty(0, dtype=np.intp)  # the item of each slot of the start
         self.handed: tuple[int, int, int] | None = None  # (gid_a, gid_b, row)
         self.order: list[tuple[int, int]] | None = None
         self.order_rows: list[int] = []
@@ -99,6 +101,7 @@ class PairQueue:
         gids = sorted(partition.group_ids())
         items = np.array([next(iter(partition.members(g))) for g in gids], dtype=np.intp)
         m, eta, D = len(gids), self.eta, self.ctx.D
+        self.start_items = items
         self.slot = dict(zip(gids, range(m)))
         self.slot_gid[:m] = gids
         del self.free[len(self.free) - m :]
@@ -121,11 +124,17 @@ class PairQueue:
         heapq.heapify(self.heap)
 
     def _update(self, partition: Partition) -> None:
-        live = set(partition.group_ids())
-        new = sorted(live - self.slot.keys())
-        if new and new[0] < self.next_gid:
+        """Add the groups new since the last sync (ids from ``next_gid`` on)
+        and retire the groups their items were labelled with. A partition
+        whose group count does not balance is not of this queue's episode."""
+        gids = sorted(gid for gid, _ in partition.groups if gid >= self.next_gid)
+        new = {gid: np.array(sorted(partition.members(gid))) for gid in gids}
+        retired = set()
+        if self.slot and new:
+            moved = np.concatenate(list(new.values()))
+            retired = set(self.slot_gid[self.label[moved]].tolist())
+        if len(self.slot) - len(retired) + len(new) != partition.n_groups:
             raise ValueError("partition does not follow this queue's episode")
-        retired = self.slot.keys() - live
         for gid in retired:
             slot = self.slot.pop(gid)
             self.slot_gid[slot] = -1
@@ -133,9 +142,8 @@ class PairQueue:
             self.kept.pop(gid, None)
         if retired and self.order is not None:
             self._keep_order(self.order, self.order_rows)
-        for gid in new:
+        for gid, idx in new.items():
             slot = self.free.pop()
-            idx = np.array(sorted(partition.members(gid)))
             self.slot[gid] = slot
             self.slot_gid[slot] = gid
             self.label[idx] = slot
@@ -143,13 +151,13 @@ class PairQueue:
             self.cons[slot] = consistency(self.ctx, idx)
             self.qual[slot] = quality_block(self.ctx.qualities[idx], self.eta)
         for gid in new:  # every label is set, so each pair is measured once
-            older = np.flatnonzero((self.slot_gid >= 0) & (self.slot_gid < gid))
+            older = ((self.slot_gid >= 0) & (self.slot_gid < gid)).nonzero()[0]
             if older.size == 0:
                 continue
             dist, block_g, block_b = pair_distance(
                 self.cols, self.label, self.slot[gid], older, self.eta
             )
-            close = np.flatnonzero(dist <= self.tau)
+            close = (dist <= self.tau).nonzero()[0]
             self.kept[gid] = np.concatenate([block_g[close], block_b[close]], axis=1)
             partners = self.slot_gid[older[close]].tolist()
             if self.order is None:
@@ -160,6 +168,13 @@ class PairQueue:
                     at = bisect.bisect(self.order, (h, gid))
                     self.order.insert(at, (h, gid))
                     self.order_rows.insert(at, row)
+        if len(self.heap) > len(self.slot) * (len(self.slot) - 1):
+            self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Keep the heap's live entries: unique tuples, which pop as they did."""
+        self.heap = [e for e in self.heap if e[1] in self.slot and e[2] in self.slot]
+        heapq.heapify(self.heap)
 
     def _keep_order(self, pairs: list[tuple[int, int]], rows: list[int]) -> None:
         """Make ``order`` the live ones of ``pairs``, which are sorted."""
@@ -172,10 +187,8 @@ class PairQueue:
         """The A->B and B->A blocks kept for a held pair of live groups."""
         if row >= 0:
             return self.kept[gid_b][row]
-        slot_a, slot_b = self.slot[gid_a], self.slot[gid_b]
-        ab = self.cols[slot_b][self.label == slot_a]
-        ba = self.cols[slot_a][self.label == slot_b]
-        return np.repeat(np.concatenate([ab, ba]), self.eta)
+        item_a, item_b = self.start_items[[self.slot[gid_a], self.slot[gid_b]]]
+        return np.full(2 * self.eta, self.ctx.D[item_a, item_b])
 
     def kept_blocks(self, candidate: tuple[int, int]) -> np.ndarray | None:
         """The blocks kept for the pair last handed out; None for any

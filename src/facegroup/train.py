@@ -306,14 +306,13 @@ def _play_episode(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1) -
     """One epsilon-greedy episode; experience i takes step i+1's features
     as its successor, and the last one is terminal."""
 
-    queue = PairQueue(ctx, config.eta, config.tau)
-    memo = QMemo(forest, queue, config.use_quality)
+    memo = QMemo(forest, PairQueue(ctx, config.eta, config.tau), config.use_quality)
 
     def act(state, candidate, phi):
         return choose_action(memo, candidate, phi, epsilon, rng)
 
     pending = None  # (phi, action, reward) of the step awaiting its successor
-    for step in episode(ctx, config, act, gt=gt, rng=rng, queue=queue):
+    for step in episode(ctx, config, act, gt=gt, rng=rng, memo=memo):
         if pending is not None:
             buffer.append(Experience(*pending, next_phi=step.phi, terminal=False))
         if use_pm1:

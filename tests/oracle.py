@@ -14,7 +14,9 @@ for bit. ``median_column_reference`` and ``consistency_reference`` (the
 from the queue's median columns) and ``RandomQueueReference`` (a queue
 that filters, heapifies and sorts its heap on every draw) are the
 recommender paths that ``features`` and ``PairQueue`` must reproduce bit
-for bit. ``q_values_reference`` scores one proposed pair on its own, in
+for bit; ``LazyHeapQueue`` keeps every stale heap entry until it
+surfaces, and the queue that rebuilds its heap must hand out what it
+does. ``q_values_reference`` scores one proposed pair on its own, in
 a two-row ``predict_many``; ``forest_steps_reference`` and
 ``play_episode_reference`` play with it and with the one-shot
 ``ground_truth_action_reference`` as the expert. They audit the forest
@@ -349,6 +351,14 @@ def extract_features_reference(state: State, candidate: tuple[int, int], queue: 
     block_ba = _first_eta(np.sort(cols[slot_a][label == slot_b]), eta)
     qual = queue.qual[[slot_a, slot_b]].ravel() if use_quality else np.zeros(2 * eta)
     return np.concatenate([block_ab, block_ba, queue.cons[[slot_a, slot_b]], qual])
+
+
+class LazyHeapQueue(PairQueue):
+    """HC over a heap that never drops its stale entries at once: each one
+    waits until it surfaces, as in the lazy deletion of a plain heap."""
+
+    def _rebuild(self) -> None:
+        pass
 
 
 class RandomQueueReference(PairQueue):

@@ -123,6 +123,7 @@ def test_eval_requires_exactly_one_source(tmp_path, small_config, capsys):
         pytest.param({"eta": True}, id="eta-bool"),
         pytest.param({"use_quality": "no"}, id="use_quality-string"),
         pytest.param({"k_steps": 1.0}, id="k_steps-float"),
+        pytest.param({"epsilon_decay_episodes": -3}, id="epsilon_decay_episodes--3"),
     ],
 )
 def test_bad_policy_config_in_model_is_schema_mismatch(tmp_path, small_config, capsys,
@@ -148,7 +149,8 @@ def test_bad_policy_config_in_model_is_schema_mismatch(tmp_path, small_config, c
 
 @pytest.mark.parametrize(
     "key, value",
-    [("n_trees", "40"), ("n_trees", 2.5), ("seed", True), ("always_include", [22.0])],
+    [("n_trees", "40"), ("n_trees", 2.5), ("seed", True), ("always_include", [22.0]),
+     ("dim", 23.9), ("dim", "23")],
 )
 def test_bad_forest_hyper_in_model_is_schema_mismatch(tmp_path, small_config, capsys,
                                                       key, value):
@@ -164,6 +166,30 @@ def test_bad_forest_hyper_in_model_is_schema_mismatch(tmp_path, small_config, ca
     forest = forest_fit(rng.random((40, 23)), rng.random(40), ForestHyper(n_trees=2))
     model = tmp_path / "m.json"
     save_model(forest, PolicyConfig(), str(model))
+    doc = json.loads(model.read_text())
+    doc[key] = value
+    model.write_text(json.dumps(doc))
+    expect_schema_mismatch(
+        ["group", "--data", data, "--model", str(model),
+         "--out-partitions", str(tmp_path / "p.jsonl")],
+        capsys,
+    )
+
+
+@pytest.mark.parametrize(
+    "key, value", [("gamma", "3"), ("gamma", True), ("bias", "0.5"), ("c_reg", True)]
+)
+def test_svm_scalar_of_another_json_type_is_schema_mismatch(tmp_path, small_config, capsys,
+                                                            key, value):
+    # a string or a boolean is not a number, as in a config file
+    from facegroup.bench import save_model
+    from facegroup.engine import PolicyConfig
+    from facegroup.learn import constant_svm
+
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", small_config, "--out", data])
+    model = tmp_path / "m.json"
+    save_model(constant_svm(22, 0.5), PolicyConfig(), str(model))
     doc = json.loads(model.read_text())
     doc[key] = value
     model.write_text(json.dumps(doc))
@@ -429,6 +455,8 @@ def test_train_sidecar_records_how_training_ended(tmp_path, small_config):
         ("policy", "beta", float("inf")),
         ("policy", "epsilon0", -3.0),
         ("policy", "epsilon0", 2.0),
+        ("policy", "epsilon_decay_episodes", 0),
+        ("policy", "epsilon_decay_episodes", -3),
         pytest.param("policy", "costs", [float("nan"), 6, 1], id="policy-costs-nan"),
         pytest.param("policy", "costs", [1, 6, float("inf")], id="policy-costs-inf"),
         # a value of the wrong JSON type
@@ -483,6 +511,10 @@ def test_eval_flag_out_of_range(tmp_path, small_config, capsys, flag, value):
         pytest.param("identities", [2.5, 3], id="identities-float"),
         pytest.param("identities", [2, 3, 4], id="identities-three"),
         pytest.param("items_per_identity", [4], id="items_per_identity-one"),
+        pytest.param("identities", [0, 0], id="identities-0-0"),
+        pytest.param("identities", [5, 3], id="identities-5-3"),
+        pytest.param("items_per_identity", [0, 2], id="items_per_identity-0-2"),
+        pytest.param("items_per_identity", [5, 3], id="items_per_identity-5-3"),
     ],
 )
 def test_sim_config_value_out_of_range(tmp_path, capsys, key, value):
@@ -493,6 +525,7 @@ def test_sim_config_value_out_of_range(tmp_path, capsys, key, value):
     assert run(["simulate", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:invalid-argument:"), err
+    assert key in err[0]  # not numpy's bare "low >= high"
     assert not out.exists()
 
 

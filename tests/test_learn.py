@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facegroup import learn
+from facegroup.core import config_dict
 from facegroup.learn import (
     ForestHyper,
     ForestModel,
@@ -217,6 +218,57 @@ def test_packed_forest_matches_tree_by_tree_reference(data, dim, n_train, n_prob
     assert_same_bits(model.predict_many(probe), forest_predict_reference(model, probe))
     loaded = ForestModel.from_dict(model.to_dict())
     assert_same_bits(loaded.predict_many(probe), forest_predict_reference(model, probe))
+
+
+def draw_tree(data, dim: int, depth: int) -> dict:
+    """A serialized tree of at most ``depth`` levels whose nodes sit in a
+    random order that keeps each child after its parent: a right child may
+    come before its left one, siblings need not be adjacent, and a split
+    may send both sides to one child."""
+    depth_of, children = [0], [None]  # by shape id
+    pending, placed = [0], []
+    while pending:
+        node = pending.pop(data.draw(st.integers(0, len(pending) - 1)))
+        placed.append(node)
+        if depth_of[node] < depth and len(depth_of) < 120 and data.draw(st.integers(0, 3)):
+            kids = [len(depth_of), len(depth_of) + 1]
+            if data.draw(st.integers(0, 7)) == 0:
+                kids = kids[:1]
+            for _ in kids:
+                depth_of.append(depth_of[node] + 1)
+                children.append(None)
+            children[node] = (kids[0], kids[-1])
+            pending += kids
+    at = {node: i for i, node in enumerate(placed)}
+    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+    for node in placed:
+        split = children[node] is not None
+        tree["feature"].append(data.draw(st.integers(0, dim - 1)) if split else -1)
+        tree["threshold"].append(data.draw(GRID))
+        tree["left"].append(at[children[node][0]] if split else -1)
+        tree["right"].append(at[children[node][1]] if split else -1)
+        tree["value"].append(data.draw(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 0.1, 1 / 3])))
+    return tree
+
+
+@given(
+    data=st.data(),
+    dim=st.integers(1, 4),
+    depths=st.lists(st.sampled_from([0, 1, 2, 5, 12]), min_size=1, max_size=12),
+    n_probe=st.sampled_from([1, 3, 40]),
+)
+@settings(max_examples=120, deadline=None)
+def test_descent_of_loaded_trees_matches_tree_by_tree_reference(data, dim, depths, n_probe):
+    """Trees written by hand, not by ``_grow_tree``: children in any order
+    after their parent, trees of very different depths in one forest, and
+    probes on the thresholds or NaN, which goes right."""
+    trees = [draw_tree(data, dim, depth) for depth in depths]
+    model = ForestModel.from_dict(
+        {"dim": dim, **config_dict(ForestHyper(n_trees=len(trees))), "trees": trees})
+    probe = np.array(data.draw(st.lists(
+        st.lists(GRID | st.just(np.nan), min_size=dim, max_size=dim),
+        min_size=n_probe, max_size=n_probe)))
+    assert_same_bits(model.predict_many(probe), forest_predict_reference(model, probe))
 
 
 def test_negative_zero_leaves_average_to_positive_zero():

@@ -11,7 +11,7 @@ from facegroup.engine import PolicyConfig
 from facegroup.recommend import PairQueue, Strategy, recommend
 
 from conftest import make_item
-from oracle import RandomQueueReference, extract_features_reference
+from oracle import LazyHeapQueue, RandomQueueReference, extract_features_reference
 
 
 def reference_blocks(state, ctx, gid_a, gid_b, eta):
@@ -136,6 +136,25 @@ def test_two_groups_within_tau(three_singletons):
     assert cand is not None
     state = transition(state, cand, Action.NOT_MERGE)
     assert recommend(state, queue, HC) is None
+
+
+def part(groups, next_gid):
+    return Partition(tuple((gid, frozenset(m)) for gid, m in groups), next_gid)
+
+
+@pytest.mark.parametrize("later", [
+    part([(0, {0}), (1, {1}), (2, {2}), (3, {3})], 6),  # ids below the last sync's come back
+    part([(2, {2}), (4, {0, 1, 3})], 6),  # group 3 lost its id without a merge
+    part([(3, {3}), (4, {0}), (5, {1, 2})], 6),  # a new group took part of group 4
+])
+def test_queue_rejects_a_partition_of_another_episode(later):
+    """A queue follows one episode forward: each sync must retire exactly
+    the groups whose items the new groups hold."""
+    ctx = AlbumContext(planar_album([0.0, 0.1, 0.2, 0.3]))
+    queue = PairQueue(ctx, 2, 1.0)
+    queue.sync(part([(2, {2}), (3, {3}), (4, {0, 1})], 5))
+    with pytest.raises(ValueError, match="does not follow"):
+        queue.sync(later)
 
 
 def test_never_repeats_history(three_singletons):
@@ -401,3 +420,43 @@ def test_random_draws_match_the_per_step_sort(seed, n, eta, tau, p_merge):
         assert np.array_equal(phi, extract_features_reference(state, pair, old))
         action = Action.MERGE if rng.random() < p_merge else Action.NOT_MERGE
         state = transition(state, pair, action)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    eta=st.integers(1, 6),
+    tau=st.sampled_from([0.2, 0.45, 1.0]),
+    p_merge=st.sampled_from([0.3, 0.7, 1.0]),
+    k=st.integers(1, 9),
+)
+@settings(max_examples=100, deadline=None)
+def test_rebuilt_heap_hands_out_what_a_lazy_one_does(seed, n, eta, tau, p_merge, k):
+    """Under HC, ``nearest`` and ``upcoming`` give the sequence of a queue
+    that never rebuilds its heap, and after each sync the heap holds at
+    most twice the pairs of live groups."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    directions = rng.normal(size=(int(rng.integers(1, n + 1)), 3))
+    album = Album(
+        album_id="prop",
+        items=tuple(
+            make_item(f"i{i}", directions[rng.integers(len(directions))] + rng.normal(size=3) * s)
+            for i, s in enumerate(rng.choice([0.0, 0.05, 0.5], size=n))
+        ),
+    )
+    ctx = AlbumContext(album)
+    queue, lazy = PairQueue(ctx, eta, tau), LazyHeapQueue(ctx, eta, tau)
+    state = State.initial(n)
+    while True:
+        queue.sync(state.partition)
+        lazy.sync(state.partition)
+        groups = len(queue.slot)
+        assert len(queue.heap) <= groups * (groups - 1)
+        assert queue.upcoming(k) == lazy.upcoming(k)
+        cand = recommend(state, queue, HC)
+        assert cand == recommend(state, lazy, HC)
+        if cand is None:
+            break
+        assert queue.handed == lazy.handed
+        action = Action.MERGE if rng.random() < p_merge else Action.NOT_MERGE
+        state = transition(state, cand, action)
