@@ -164,23 +164,13 @@ def simulate(config: SimConfig) -> list[Album]:
     return albums
 
 
-def hc_baseline(album: Album, config: PolicyConfig, ctx: AlbumContext | None = None) -> Partition:
+def hc_baseline(album: Album, config: PolicyConfig) -> Partition:
     """Threshold hierarchical clustering: merge every recommended pair."""
     config = dataclasses.replace(config, strategy=Strategy.HIERARCHICAL_NEAREST)
     partition = Partition.from_singletons(len(album))
-    for step in episode(ctx or AlbumContext(album), config, lambda *_: Action.MERGE):
+    for step in episode(AlbumContext(album), config, lambda *_: Action.MERGE):
         partition = step.next_state.partition
     return partition
-
-
-def _restrict(partition: Partition, keep: frozenset[int]) -> Partition:
-    member_sets = []
-    for _, members in partition.groups:
-        kept = members & keep
-        if kept:
-            member_sets.append(kept)
-    member_sets.sort(key=min)
-    return Partition.from_groups(member_sets)
 
 
 def score_album(album: Album, predicted: Partition, costs: CostModel) -> dict:
@@ -188,18 +178,14 @@ def score_album(album: Album, predicted: Partition, costs: CostModel) -> dict:
 
     Unlabeled items are dropped from both sides before scoring.
     """
-    labeled = frozenset(i for i, it in enumerate(album.items) if it.label is not None)
+    labeled = [i for i, it in enumerate(album.items) if it.label is not None]
     if not labeled:
         raise ValueError(f"album {album.album_id} has no labeled items")
-    keep_album = Album(
-        album_id=album.album_id,
-        items=tuple(album.items[i] for i in sorted(labeled)),
-    )
-    remap = {old: new for new, old in enumerate(sorted(labeled))}
-    pred = _restrict(predicted, labeled)
-    pred = Partition.from_groups(
-        sorted(({remap[i] for i in members} for _, members in pred.groups), key=min)
-    )
+    remap = {old: new for new, old in enumerate(labeled)}
+    # the renumbering is monotone, so one sort by smallest member suffices
+    kept = ({remap[i] for i in members if i in remap} for _, members in predicted.groups)
+    pred = Partition.from_groups(sorted(filter(None, kept), key=min))
+    keep_album = Album(album_id=album.album_id, items=tuple(album.items[i] for i in labeled))
     gt = ground_truth_partition(keep_album)
     scores = bcubed(pred, gt)
     return {
@@ -215,21 +201,8 @@ def score_album(album: Album, predicted: Partition, costs: CostModel) -> dict:
 def group_album(
     album: Album, policy: Policy, config: PolicyConfig, rng_seed: int = 0
 ) -> EpisodeTrace:
-    """Run the policy on one album in inference mode (labels untouched)."""
-    stripped = Album(
-        album_id=album.album_id,
-        items=tuple(
-            FaceItem(item_id=it.item_id, embedding=it.embedding, quality=it.quality, label=None)
-            for it in album.items
-        ),
-    )
-    return run_episode(
-        stripped,
-        policy,
-        config,
-        ctx=AlbumContext(stripped),
-        rng=album_rng(rng_seed, album.album_id),
-    )
+    """Run the policy on one album in inference mode: no label is read."""
+    return run_episode(album, policy, config, rng=album_rng(rng_seed, album.album_id))
 
 
 def _eval_one(args) -> tuple[dict, EpisodeTrace]:

@@ -242,7 +242,6 @@ def run_episode(
     policy: Policy,
     config: PolicyConfig,
     rng: np.random.Generator | None = None,
-    ctx: AlbumContext | None = None,
 ) -> EpisodeTrace:
     """Group one album with the policy's greedy actions, returning the
     per-step trace and the final partition. No label is read.
@@ -254,7 +253,7 @@ def run_episode(
     steps: list[StepRecord] = []
     partition = Partition.from_singletons(len(album))
     margin = 0.0
-    ctx = ctx or AlbumContext(album)
+    ctx = AlbumContext(album)
     memo = None
     if isinstance(policy, ForestModel):
         memo = QMemo(policy, PairQueue(ctx, config.eta, config.tau), config.use_quality)

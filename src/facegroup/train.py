@@ -6,15 +6,16 @@ the expert action lands in an accumulated mistake set, and the SVM is
 retrained on it until a whole epoch passes with zero mistakes.
 
 Stage two fixes that reward and fits an action-value forest by epsilon-
-greedy play: experiences carry the combined short- plus long-term reward,
-and the forest is refit periodically on one-step bootstrapped targets.
+greedy play: each step is a Q row (its features, then the action flag)
+with the combined short- plus long-term reward, and the forest is refit
+periodically on one-step bootstrapped targets whose successor is the
+next row of the same episode.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ import numpy as np
 # The episode kernel calls recommend, extract_features, transition and op_cost, and is
 # the expert; perfbench's tracer still looks them up on this module, so the imports stay.
 from .core import (  # noqa: F401
-    Action,
     Album,
     Partition,
     ground_truth_action,
@@ -56,7 +56,7 @@ from .recommend import PairQueue, recommend  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-# Stage two keeps at most this many of the latest experiences.
+# Stage two keeps at most this many of the latest Q rows.
 BUFFER_CAPACITY = 100_000
 
 
@@ -73,15 +73,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.reward_mode not in ("svm", "pm1"):
             raise ValueError(f"reward_mode must be 'svm' or 'pm1', got {self.reward_mode!r}")
-
-
-@dataclass
-class Experience:
-    phi: np.ndarray
-    action: Action
-    reward: float
-    next_phi: np.ndarray | None  # features of the next recommended candidate
-    terminal: bool
 
 
 @dataclass
@@ -120,19 +111,20 @@ def expert_trajectory(
     truth and the recommender, never on the learner, so this sequence can
     be computed once and re-scored cheaply every epoch.
     """
-    steps = episode(ctx or AlbumContext(album), config, None, gt=gt, rng=rng)
-    decisions = [(step.phi, action_flag(step.action)) for step in steps]
-    if not decisions:
-        return np.empty((0, feature_dim(config.eta))), np.empty(0)
-    phis, labels = zip(*decisions)
-    return np.asarray(phis), np.asarray(labels)
+    phis, labels = [], []
+    for step in episode(ctx or AlbumContext(album), config, None, gt=gt, rng=rng):
+        phis.append(step.phi)
+        labels.append(action_flag(step.action))
+    return np.reshape(phis, (len(labels), feature_dim(config.eta))), np.array(labels)
 
 
-def _fit_on_mistakes(phis: list[np.ndarray], labels: list[float], hyper: SvmHyper) -> SvmModel:
-    X, y = np.asarray(phis), np.asarray(labels)
-    if not (1.0 in labels and -1.0 in labels):
-        return constant_svm(X.shape[1], bias=float(y[0]))
-    return svm_fit(X, y, hyper)
+def _demonstrations(pairs, config: PolicyConfig, seed: int, contexts=None) -> list[tuple]:
+    """The expert trajectory of each (album, ground truth) pair, in order."""
+    contexts = contexts or [None] * len(pairs)
+    return [
+        expert_trajectory(album, gt, config, ctx, album_rng(seed, album.album_id))
+        for (album, gt), ctx in zip(pairs, contexts)
+    ]
 
 
 def irl_train(
@@ -156,47 +148,37 @@ def irl_train(
     dim = feature_dim(config.eta)
     model: SvmModel = random_svm(dim, seed=train_cfg.seed)
     # the mistake set: features and expert actions (+/-1), kept across epochs
-    mistake_phis: list[np.ndarray] = []
-    mistake_labels: list[float] = []
-    trajectories = [
-        (
-            album.album_id,
-            *expert_trajectory(
-                album, gt, config, rng=album_rng(train_cfg.seed, album.album_id)
-            ),
-        )
-        for album, gt in pairs
-    ]
+    X, y = np.empty((0, dim)), np.empty(0)
+    trajectories = _demonstrations(pairs, config, train_cfg.seed)
 
     mistakes_per_epoch: list[int] = []
     converged = False
-    epochs_run = 0
     for epoch in range(1, train_cfg.max_epochs + 1):
-        epochs_run = epoch
         epoch_mistakes = 0
         albums_solved = 0
-        for album_id, phis, labels in trajectories:
+        for phis, labels in trajectories:
             if len(labels) == 0:
                 albums_solved += 1
                 continue
             decisions = model.decision_many(phis)
             predicted = np.where(decisions > 0, 1.0, -1.0)
             wrong = np.flatnonzero(predicted != labels)
-            mistake_phis.extend(phis[wrong])
-            mistake_labels.extend(labels[wrong].tolist())
             epoch_mistakes += len(wrong)
             if len(wrong) == 0:
                 albums_solved += 1
+                continue
+            X, y = np.vstack([X, phis[wrong]]), np.concatenate([y, labels[wrong]])
+            if y.min() == y.max():
+                model = constant_svm(dim, bias=float(y[0]))
             else:
-                model = _fit_on_mistakes(mistake_phis, mistake_labels, svm_hyper)
+                model = svm_fit(X, y, svm_hyper)
         mistakes_per_epoch.append(epoch_mistakes)
-        accuracy = _mistake_accuracy(model, mistake_phis, mistake_labels)
         logger.info(
-            "irl epoch=%d mistakes=%d |L|=%d albums_solved=%d/%d svm_acc=%.3f",
-            epoch, epoch_mistakes, len(mistake_phis), albums_solved, len(pairs), accuracy,
+            "irl epoch=%d mistakes=%d |L|=%d albums_solved=%d/%d",
+            epoch, epoch_mistakes, len(y), albums_solved, len(pairs),
         )
-        if epoch_mistakes == 0:
-            converged = True
+        converged = epoch_mistakes == 0
+        if converged:
             break
     if not converged:
         logger.warning(
@@ -205,17 +187,11 @@ def irl_train(
     return IrlResult(
         model=model,
         converged=converged,
-        epochs_run=epochs_run,
+        epochs_run=len(mistakes_per_epoch),
         mistakes_per_epoch=mistakes_per_epoch,
-        mistake_set_size=len(mistake_phis),
-        training_accuracy=_mistake_accuracy(model, mistake_phis, mistake_labels),
+        mistake_set_size=len(y),
+        training_accuracy=svm_accuracy(model, X, y) if len(y) else 1.0,
     )
-
-
-def _mistake_accuracy(model: SvmModel, phis: list[np.ndarray], labels: list[float]) -> float:
-    if not phis:
-        return 1.0
-    return svm_accuracy(model, np.asarray(phis), np.asarray(labels))
 
 
 @dataclass
@@ -257,94 +233,83 @@ def q_train(
         forest_hyper = dataclasses.replace(forest_hyper, always_include=(q_dim - 1,))
     if not all(0 <= f < q_dim for f in forest_hyper.always_include):
         raise ValueError(f"always_include must hold feature indices in [0, {q_dim})")
-    contexts = {a.album_id: AlbumContext(a) for a, _ in pairs}
+    contexts = [AlbumContext(a) for a, _ in pairs]
     use_pm1 = train_cfg.reward_mode == "pm1"
 
     # Bootstrap targets from the myopic stage: both actions of every state
     # visited on the expert path, valued by the stage-one reward.
     boot_X: list[np.ndarray] = []
     boot_y: list[np.ndarray] = []
-    for album, gt in pairs:
-        phis, labels = expert_trajectory(
-            album,
-            gt,
-            config,
-            ctx=contexts[album.album_id],
-            rng=album_rng(train_cfg.seed, album.album_id),
-        )
+    for phis, labels in _demonstrations(pairs, config, train_cfg.seed, contexts):
         if len(labels) == 0:
             continue
         values = labels if use_pm1 else svm.decision_many(phis)
-        n = phis.shape[0]
-        boot_X.append(np.hstack([phis, np.ones((n, 1))]))
-        boot_X.append(np.hstack([phis, -np.ones((n, 1))]))
-        boot_y.append(values)
-        boot_y.append(-values)
+        for flag in (1.0, -1.0):
+            boot_X.append(np.hstack([phis, np.full((len(phis), 1), flag)]))
+            boot_y.append(flag * values)
     if not boot_X:
         raise ValueError("no decision states found; every album is below two groups "
                          "or all pairs sit beyond tau")
     forest = forest_fit(np.vstack(boot_X), np.concatenate(boot_y), forest_hyper)
 
-    buffer: deque[Experience] = deque(maxlen=BUFFER_CAPACITY)
+    # The replay memory: Q rows, their rewards, and whether a row ends its
+    # episode; the latest BUFFER_CAPACITY rows are kept.
+    memory = (np.empty((0, q_dim)), np.empty(0), np.empty(0, dtype=bool))
     episodes = config.epsilon_decay_episodes
     for i in range(episodes):
         album, gt = pairs[i % len(pairs)]
-        ctx = contexts[album.album_id]
+        ctx = contexts[i % len(pairs)]
         rng = album_rng(train_cfg.seed + 1 + i, album.album_id)
         epsilon = _epsilon_at(i, config)
-        _play_episode(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1)
+        rows, rewards = _play_episode(gt, ctx, forest, svm, config, epsilon, rng, use_pm1)
+        ends = np.arange(len(rewards)) == len(rewards) - 1
+        memory = tuple(
+            np.concatenate([kept, new])[-BUFFER_CAPACITY:]
+            for kept, new in zip(memory, (rows, rewards, ends))
+        )
         if (i + 1) % train_cfg.refit_every == 0 or i == episodes - 1:
-            forest = _refit(forest, buffer, config, forest_hyper)
+            forest = _refit(forest, *memory, config, forest_hyper)
         logger.info(
             "q episode=%d album=%s epsilon=%.3f experiences=%d",
-            i, album.album_id, epsilon, len(buffer),
+            i, album.album_id, epsilon, len(memory[1]),
         )
-    return QTrainResult(model=forest, episodes_run=episodes, n_experiences=len(buffer))
+    return QTrainResult(model=forest, episodes_run=episodes, n_experiences=len(memory[1]))
 
 
-def _play_episode(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1) -> None:
-    """One epsilon-greedy episode; experience i takes step i+1's features
-    as its successor, and the last one is terminal."""
+def _play_episode(gt, ctx, forest, svm, config, epsilon, rng, use_pm1) -> tuple[np.ndarray, ...]:
+    """One epsilon-greedy episode: its Q rows (features, then the action
+    flag) and their rewards, in step order."""
 
     memo = QMemo(forest, PairQueue(ctx, config.eta, config.tau), config.use_quality)
 
     def act(state, candidate, phi):
         return choose_action(memo, candidate, phi, epsilon, rng)
 
-    pending = None  # (phi, action, reward) of the step awaiting its successor
+    rows, rewards = [], []
     for step in episode(ctx, config, act, gt=gt, rng=rng, memo=memo):
-        if pending is not None:
-            buffer.append(Experience(*pending, next_phi=step.phi, terminal=False))
         if use_pm1:
             r_short = 1.0 if step.action is step.expert else -1.0
         else:
             r_short = reward_short(svm, step.phi, step.action)
-        pending = (step.phi, step.action, reward_total(r_short, step.r_long, config.beta))
-    if pending is not None:
-        buffer.append(Experience(*pending, next_phi=None, terminal=True))
+        rows.append(np.append(step.phi, action_flag(step.action)))
+        rewards.append(reward_total(r_short, step.r_long, config.beta))
+    return np.reshape(rows, (len(rewards), feature_dim(config.eta) + 1)), np.array(rewards)
 
 
-def _refit(
-    forest: ForestModel,
-    buffer: deque[Experience],
-    config: PolicyConfig,
-    hyper: ForestHyper,
-) -> ForestModel:
-    items = list(buffer)
-    if not items:
+def _refit(forest: ForestModel, rows: np.ndarray, rewards: np.ndarray, ends: np.ndarray,
+           config: PolicyConfig, hyper: ForestHyper) -> ForestModel:
+    """Refit on targets reward + gamma * max_a' Q(next row's features, a');
+    a row that ends its episode has no successor."""
+    if len(rewards) == 0:
         return forest
-    X = np.stack(
-        [np.concatenate([e.phi, [action_flag(e.action)]]) for e in items]
-    )
-    targets = np.array([e.reward for e in items])
+    targets = rewards.copy()
     if config.gamma > 0:
-        non_terminal = [k for k, e in enumerate(items) if not e.terminal]
-        if non_terminal:
-            next_phis = np.stack([items[k].next_phi for k in non_terminal])
-            m = len(non_terminal)
+        live = np.flatnonzero(~ends)
+        if len(live):
+            next_phis = rows[live + 1, :-1]
+            m = len(live)
             # merge rows then not-merge rows, in one batched prediction
             flags = np.concatenate([np.ones(m), -np.ones(m)])[:, None]
             q = forest.predict_many(np.hstack([np.vstack([next_phis, next_phis]), flags]))
-            best_next = np.maximum(q[:m], q[m:])
-            targets[non_terminal] += config.gamma * best_next
-    return forest_fit(X, targets, hyper)
+            targets[live] += config.gamma * np.maximum(q[:m], q[m:])
+    return forest_fit(rows, targets, hyper)

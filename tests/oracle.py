@@ -22,6 +22,10 @@ a two-row ``predict_many``; ``forest_steps_reference`` and
 ``ground_truth_action_reference`` as the expert. They audit the forest
 actors' Q memo, which scores pairs ahead in batches, and the plan that an
 episode with a ground truth carries from step to step.
+``q_train_reference`` is stage two as it kept its replay memory: one
+``Experience`` per step, holding its successor's features, in a
+``deque(maxlen=capacity)``, with refit targets built experience by
+experience; it audits ``train.q_train``'s replay memory of rows.
 ``symmetric_distances_reference`` mirrors the distance matrix through
 whole-matrix triangle indices; it audits ``AlbumContext``.
 """
@@ -30,17 +34,18 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from facegroup import learn
+from facegroup import learn, train
 from facegroup.core import Action, CostModel, Partition, State
-from facegroup.engine import Step, episode, reward_short, reward_total
-from facegroup.features import AlbumContext
+from facegroup.engine import Step, action_flag, album_rng, episode, reward_short, reward_total
+from facegroup.features import AlbumContext, feature_dim
 from facegroup.learn import ForestHyper, ForestModel, SvmHyper, SvmModel
 from facegroup.metrics import op_cost
 from facegroup.recommend import PairQueue
-from facegroup.train import Experience
 
 
 class CapacityError(ValueError):
@@ -404,20 +409,86 @@ def forest_steps_reference(
     return list(episode(ctx, config, act, gt=gt, rng=rng))
 
 
-def play_episode_reference(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1) -> None:
+def play_episode_reference(gt, ctx, forest, svm, config, epsilon, rng, use_pm1):
     """``train._play_episode`` with each proposed pair valued on its own."""
-    pending = None
+    rows, rewards = [], []
     for step in forest_steps_reference(ctx, forest, config, epsilon, rng, gt):
-        if pending is not None:
-            buffer.append(Experience(*pending, next_phi=step.phi, terminal=False))
         if use_pm1:
             expert = ground_truth_action_reference(step.state, step.candidate, gt, config.costs)
             r_short = 1.0 if step.action is expert else -1.0
         else:
             r_short = reward_short(svm, step.phi, step.action)
-        pending = (step.phi, step.action, reward_total(r_short, step.r_long, config.beta))
-    if pending is not None:
-        buffer.append(Experience(*pending, next_phi=None, terminal=True))
+        rows.append(np.append(step.phi, action_flag(step.action)))
+        rewards.append(reward_total(r_short, step.r_long, config.beta))
+    return np.reshape(rows, (len(rewards), feature_dim(config.eta) + 1)), np.array(rewards)
+
+
+@dataclass
+class Experience:
+    phi: np.ndarray
+    action: Action
+    reward: float
+    next_phi: np.ndarray | None  # features of the next recommended candidate
+    terminal: bool
+
+
+def _refit_reference(forest, buffer, config, hyper) -> ForestModel:
+    items = list(buffer)
+    if not items:
+        return forest
+    X = np.stack([np.concatenate([e.phi, [action_flag(e.action)]]) for e in items])
+    targets = np.array([e.reward for e in items])
+    if config.gamma > 0:
+        non_terminal = [k for k, e in enumerate(items) if not e.terminal]
+        if non_terminal:
+            next_phis = np.stack([items[k].next_phi for k in non_terminal])
+            m = len(non_terminal)
+            flags = np.concatenate([np.ones(m), -np.ones(m)])[:, None]
+            q = forest.predict_many(np.hstack([np.vstack([next_phis, next_phis]), flags]))
+            targets[non_terminal] += config.gamma * np.maximum(q[:m], q[m:])
+    return learn.forest_fit(X, targets, hyper)
+
+
+def q_train_reference(albums, gts, svm, config, hyper, train_cfg, capacity):
+    """(forest, experiences kept) of ``train.q_train`` from its replay of
+    ``Experience`` objects; ``hyper`` must already hold the action flag."""
+    pairs = sorted(zip(albums, gts), key=lambda pair: pair[0].album_id)
+    contexts = {a.album_id: AlbumContext(a) for a, _ in pairs}
+    use_pm1 = train_cfg.reward_mode == "pm1"
+    boot_X, boot_y = [], []
+    for album, gt in pairs:
+        phis, labels = train.expert_trajectory(
+            album, gt, config, contexts[album.album_id], album_rng(train_cfg.seed, album.album_id)
+        )
+        if len(labels) == 0:
+            continue
+        values = labels if use_pm1 else svm.decision_many(phis)
+        boot_X += [np.hstack([phis, np.ones((len(phis), 1))]),
+                   np.hstack([phis, -np.ones((len(phis), 1))])]
+        boot_y += [values, -values]
+    forest = learn.forest_fit(np.vstack(boot_X), np.concatenate(boot_y), hyper)
+
+    buffer = deque(maxlen=capacity)
+    episodes = config.epsilon_decay_episodes
+    for i in range(episodes):
+        album, gt = pairs[i % len(pairs)]
+        rng = album_rng(train_cfg.seed + 1 + i, album.album_id)
+        epsilon = train._epsilon_at(i, config)
+        ctx = contexts[album.album_id]
+        pending = None  # (phi, action, reward) of the step awaiting its successor
+        for step in forest_steps_reference(ctx, forest, config, epsilon, rng, gt):
+            if pending is not None:
+                buffer.append(Experience(*pending, next_phi=step.phi, terminal=False))
+            if use_pm1:
+                r_short = 1.0 if step.action is step.expert else -1.0
+            else:
+                r_short = reward_short(svm, step.phi, step.action)
+            pending = (step.phi, step.action, reward_total(r_short, step.r_long, config.beta))
+        if pending is not None:
+            buffer.append(Experience(*pending, next_phi=None, terminal=True))
+        if (i + 1) % train_cfg.refit_every == 0 or i == episodes - 1:
+            forest = _refit_reference(forest, buffer, config, hyper)
+    return forest, len(buffer)
 
 
 def symmetric_distances_reference(X: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -22,7 +23,8 @@ from facegroup.bench import (
 )
 from facegroup.core import NOISE, Album, ground_truth_partition
 from facegroup.engine import PolicyConfig
-from facegroup.learn import ForestHyper, constant_svm, forest_fit
+from facegroup.learn import ForestHyper, SvmHyper, constant_svm, forest_fit, svm_fit
+from facegroup.train import expert_trajectory
 
 from conftest import make_item
 
@@ -129,10 +131,29 @@ class TestEvaluate:
         assert len(table.splitlines()) == 4
 
     def test_inference_never_reads_labels(self):
-        album = simulate(SimConfig(n_albums=1, seed=10))[0]
-        model = constant_svm(22, bias=1.0)
-        trace = group_album(album, model, PolicyConfig())
-        assert trace.final_partition.n_items == len(album)
+        """Relabelling the album, with other identity strings or with none,
+        leaves every step of the grouping trace and the partition as they
+        were, under the SVM and under a forest."""
+        album, other = simulate(SimConfig(n_albums=2, seed=10))
+        X, y = expert_trajectory(other, ground_truth_partition(other), PolicyConfig())
+        svm = svm_fit(X, y, SvmHyper(c_reg=10.0, gamma=3.0))
+        rng = np.random.Generator(np.random.PCG64(10))
+        X = rng.uniform(0, 1, size=(200, 23))
+        X[:, 22] = np.where(rng.random(200) < 0.5, 1.0, -1.0)
+        forest = forest_fit(X, X[:, 22] * (0.3 - X[:, 0]),
+                            ForestHyper(n_trees=3, always_include=(22,), seed=10))
+        for model in (svm, forest):
+            runs = []
+            for relabel in (lambda label: label, lambda label: f"other-{label}",
+                            lambda label: None):
+                items = tuple(dataclasses.replace(it, label=relabel(it.label))
+                              for it in album.items)
+                trace = group_album(Album(album.album_id, items), model, PolicyConfig())
+                steps = [(s.candidate, s.action, s.phi.tobytes(), s.r_short)
+                         for s in trace.steps]
+                runs.append((steps, trace.final_partition))
+            assert len({action for _, action, _, _ in runs[0][0]}) == 2
+            assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestDatasetIO:

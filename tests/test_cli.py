@@ -403,7 +403,8 @@ def test_train_without_svm_section_uses_documented_gamma(tmp_path, small_config)
 
 def test_train_sidecar_records_how_training_ended(tmp_path, small_config):
     """The train sidecar holds the IRL outcome and the experience count, and
-    no timings; one epoch is too few to converge on this data."""
+    no timings; one epoch is too few to converge on this data. Stage q on
+    the stage-irl model writes the forest that stage both writes."""
     with open(small_config) as fh:
         cfg = json.load(fh)
     cfg["sim"] = {"n_albums": 2, "seed": 31}
@@ -432,6 +433,9 @@ def test_train_sidecar_records_how_training_ended(tmp_path, small_config):
     assert json.loads((tmp_path / "q.json.meta.json").read_text()) == {
         "command": "train", "stage": "q", "n_experiences": metas["both"]["n_experiences"]
     }
+    # the stages compose: stage q on stage irl's model is stage both
+    assert q_model.read_bytes() == (tmp_path / "both.json").read_bytes()
+    assert (tmp_path / "irl.json").read_bytes() == (tmp_path / "both.json.svm.json").read_bytes()
 
 
 @pytest.mark.parametrize(

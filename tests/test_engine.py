@@ -311,8 +311,8 @@ def test_q_memo_inference_matches_one_pair_at_a_time(
 def test_q_memo_play_matches_one_pair_at_a_time(
     seed, n, eta, tau, strategy, epsilon, use_pm1, cut
 ):
-    """Epsilon-greedy play through the Q memo stores the experiences of
-    play that scores each proposed pair on its own, and leaves the
+    """Epsilon-greedy play through the Q memo returns the Q rows and rewards
+    of play that scores each proposed pair on its own, and leaves the
     generator in the same state: the memo moves no draw."""
     album = clustered_album(seed, n, labeled=True)
     gt = ground_truth_partition(album)
@@ -323,14 +323,8 @@ def test_q_memo_play_matches_one_pair_at_a_time(
     played = []
     for play in (_play_episode, play_episode_reference):
         rng = album_rng(seed, album.album_id)
-        buffer = []
-        play(gt, ctx, forest, svm, config, epsilon, rng, buffer, use_pm1)
-        experiences = [
-            (e.phi.tobytes(), e.action, e.reward,
-             None if e.next_phi is None else e.next_phi.tobytes(), e.terminal)
-            for e in buffer
-        ]
-        played.append((experiences, rng.bit_generator.state))
+        rows, rewards = play(gt, ctx, forest, svm, config, epsilon, rng, use_pm1)
+        played.append((rows.shape, rows.tobytes(), rewards.tobytes(), rng.bit_generator.state))
     assert played[0] == played[1]
 
 

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facegroup import train
 from facegroup.bench import SimConfig, evaluate, simulate
 from facegroup.core import Action, Album, ground_truth_partition
 from facegroup.engine import PolicyConfig
-from facegroup.learn import ForestHyper, SvmHyper, constant_svm
+from facegroup.learn import ForestHyper, SvmHyper, constant_svm, random_svm
 from facegroup.train import TrainConfig, expert_trajectory, irl_train, q_train
 
 from conftest import make_item
+from oracle import q_train_reference
 
 SVM_HYPER = SvmHyper(c_reg=10.0, gamma=3.0)
 
@@ -177,3 +179,30 @@ def test_duplicate_album_ids_are_rejected():
         irl_train([first, twin], PolicyConfig(), SVM_HYPER)
     with pytest.raises(ValueError, match="unique"):
         q_train([first, twin], constant_svm(22, 1.0), PolicyConfig())
+
+
+@pytest.mark.parametrize("capacity", ["one", "episode", "default"])
+@pytest.mark.parametrize("reward_mode", ["svm", "pm1"])
+@pytest.mark.parametrize("gamma", [0.0, 0.9])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_q_train_matches_experience_replay(seed, gamma, reward_mode, capacity):
+    """The replay memory of rows refits the forest an ``Experience`` deque
+    of the same capacity refits, byte for byte, and keeps as many rows:
+    a capacity of one row, of one expert episode's length, and the default."""
+    albums = easy_sim(n_albums=2, seed=seed)
+    gts = [ground_truth_partition(a) for a in albums]
+    config = PolicyConfig(epsilon_decay_episodes=5, gamma=gamma)
+    cap = {
+        "one": 1,
+        "episode": len(expert_trajectory(albums[0], gts[0], config)[1]),
+        "default": train.BUFFER_CAPACITY,
+    }[capacity]
+    svm = random_svm(22, seed=seed)
+    hyper = ForestHyper(n_trees=3, max_depth=6, always_include=(22,), seed=seed)
+    train_cfg = TrainConfig(seed=seed, refit_every=2, reward_mode=reward_mode)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(train, "BUFFER_CAPACITY", cap)
+        result = q_train(albums, svm, config, hyper, train_cfg, gts=gts)
+    forest, kept = q_train_reference(albums, gts, svm, config, hyper, train_cfg, cap)
+    assert result.model.to_dict() == forest.to_dict()
+    assert result.n_experiences == kept
