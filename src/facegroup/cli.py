@@ -88,12 +88,12 @@ def cmd_train(args) -> int:
                         reward_mode=args.reward_mode)
     albums = bench.load_dataset(args.data, normalize=args.normalize)
 
-    svm = None
+    svm, demonstrations = None, None
     # how training ended, without timings, so the sidecar is as deterministic as the model
     meta = {"command": "train", "stage": args.stage}
     if args.stage in ("irl", "both"):
         result = train_mod.irl_train(albums, policy_cfg, svm_hyper, train_cfg)
-        svm = result.model
+        svm, demonstrations = result.model, result.demonstrations
         meta.update(
             converged=result.converged,
             epochs_run=result.epochs_run,
@@ -112,7 +112,8 @@ def cmd_train(args) -> int:
         svm, _ = bench.load_model(args.svm_model)
         if not isinstance(svm, SvmModel):
             raise CliError("schema-mismatch", f"{args.svm_model} is not an svm model")
-    q_result = train_mod.q_train(albums, svm, policy_cfg, forest_hyper, train_cfg)
+    q_result = train_mod.q_train(albums, svm, policy_cfg, forest_hyper, train_cfg,
+                                 demonstrations=demonstrations)
     bench.save_model(q_result.model, policy_cfg, args.out_model)
     meta["n_experiences"] = q_result.n_experiences
     _write_sidecar(args.out_model, meta)

@@ -7,6 +7,7 @@ file format lives in ``bench``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -150,8 +151,8 @@ def svm_fit(X: np.ndarray, y: np.ndarray, hyper: SvmHyper = SvmHyper()) -> SvmMo
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be 2-d with one label per row")
-    if np.isnan(X).any():
-        raise ValueError("features contain NaN")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("features and labels must be finite, not NaN or inf")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("training set must contain both classes")
     n = X.shape[0]
@@ -166,12 +167,12 @@ def svm_fit(X: np.ndarray, y: np.ndarray, hyper: SvmHyper = SvmHyper()) -> SvmMo
     C = np.where(y > 0, c_pos, c_neg)
 
     sq = (X**2).sum(axis=1)
-    K = None
     if n <= _KERNEL_CACHE_LIMIT:
         K = np.exp(-hyper.gamma * np.maximum(sq[:, None] + sq[None, :] - 2.0 * X @ X.T, 0.0))
-
-    def krow(i: int) -> np.ndarray:
-        return K[i] if K is not None else _kernel_rows(X, sq, hyper.gamma, i)
+        krow = list(K).__getitem__  # the row views, made once
+    else:
+        def krow(i: int) -> np.ndarray:
+            return _kernel_rows(X, sq, hyper.gamma, i)
 
     # The pair step reads Python floats, which are cheaper than numpy
     # scalars. F is the negated error -(f(x_i) - y_i), f = 0 initially (bias
@@ -182,39 +183,46 @@ def svm_fit(X: np.ndarray, y: np.ndarray, hyper: SvmHyper = SvmHyper()) -> SvmMo
     pos, y_l, C_l = is_pos.tolist(), y.tolist(), C.tolist()
     alpha = [0.0] * n
     F = y.copy()
-    # the index sets I_up and I_low of Keerthi et al. at alpha = 0; a pair
-    # step changes only entries i and j
-    up = is_pos & (C > eps)
-    low = ~is_pos & (C > eps)
+    # The index sets I_up and I_low of Keerthi et al. as penalties added to
+    # F before the argmax and argmin: 0 inside a set, -inf (up) or +inf
+    # (low) outside it. F + 0 is F, so the picks are those of F masked to
+    # each set. A pair step rewrites only entries i and j.
+    up = np.where(is_pos & (C > eps), 0.0, -np.inf)
+    low = np.where(~is_pos & (C > eps), 0.0, np.inf)
+    picked = np.empty(n)
+    work = (np.empty(n), np.empty(n))  # the pair step's update of F
 
     max_iter = hyper.max_passes * max(n, 1)
     for _ in range(max_iter):
-        i = np.where(up, F, -np.inf).argmax().item()
-        j = np.where(low, F, np.inf).argmin().item()  # first of low in stable F order
-        if not (up[i] and low[j]):
+        i = int(np.add(F, up, picked).argmax())
+        j = int(np.add(F, low, picked).argmin())  # first of low in stable F order
+        if up.item(i) or low.item(j):  # an index set is empty
             break
         f_i = F.item(i)
         if f_i - F.item(j) <= hyper.tol:
             break
-        progressed = _smo_step(i, j, alpha, y_l, C_l, F, krow, eps)
+        progressed = _smo_step(i, j, alpha, y_l, C_l, F, krow, work, eps)
         if not progressed:
             # only then rank the rest of the low set, most violating first,
             # and take the first pair that moves
-            low_idx = np.flatnonzero(low)
+            low_idx = np.flatnonzero(low == 0.0)
             for j in low_idx[np.argsort(F[low_idx], kind="stable")[1:]].tolist():
                 if j == i:
                     continue
                 if f_i - F.item(j) <= hyper.tol:
                     break
-                if _smo_step(i, j, alpha, y_l, C_l, F, krow, eps):
+                if _smo_step(i, j, alpha, y_l, C_l, F, krow, work, eps):
                     progressed = True
                     break
         if not progressed:
             break
         for k in (i, j):
             inside, above = alpha[k] < C_l[k] - eps, alpha[k] > eps
-            up[k], low[k] = (inside, above) if pos[k] else (above, inside)
+            in_up, in_low = (inside, above) if pos[k] else (above, inside)
+            up[k] = 0.0 if in_up else -np.inf
+            low[k] = 0.0 if in_low else np.inf
 
+    up, low = up == 0.0, low == 0.0
     alpha = np.asarray(alpha)
     non_bound = (alpha > eps) & (alpha < C - eps)
     if non_bound.any():
@@ -240,8 +248,9 @@ def svm_fit(X: np.ndarray, y: np.ndarray, hyper: SvmHyper = SvmHyper()) -> SvmMo
     )
 
 
-def _smo_step(i, j, alpha, y, C, F, krow, eps) -> bool:
-    """Joint update of one alpha pair; returns False when no progress is possible."""
+def _smo_step(i, j, alpha, y, C, F, krow, work, eps) -> bool:
+    """Joint update of one alpha pair, with ``work`` two scratch rows;
+    returns False when no progress is possible."""
     a_i, a_j = alpha[i], alpha[j]
     y_i, y_j = y[i], y[j]
     s = y_i * y_j
@@ -264,7 +273,12 @@ def _smo_step(i, j, alpha, y, C, F, krow, eps) -> bool:
         return False
     a_i_new = a_i + s * (a_j - a_j_new)
     alpha[i], alpha[j] = a_i_new, a_j_new
-    F -= y_i * (a_i_new - a_i) * row_i + y_j * (a_j_new - a_j) * row_j
+    # F -= y_i * (a_i_new - a_i) * row_i + y_j * (a_j_new - a_j) * row_j,
+    # rounded alike, without temporaries
+    d_i, d_j = work
+    np.multiply(row_i, y_i * (a_i_new - a_i), d_i)
+    np.multiply(row_j, y_j * (a_j_new - a_j), d_j)
+    np.subtract(F, np.add(d_i, d_j, d_i), F)
     return True
 
 
@@ -431,39 +445,43 @@ def _node_indices(values) -> np.ndarray:
         raise ValueError("tree index does not fit in 64 bits") from None
 
 
-def _best_split(xs, ys, min_leaf):
+def _best_split(xs, ys, min_leaf, counts):
     """Vectorized exhaustive split search over presorted candidate features.
 
     Column c of ``xs`` holds one candidate feature's values over the node's
     rows in stable ascending order, and column c of ``ys`` the targets in
-    that order. Returns (column, threshold), or None when no cut between
-    two distinct values leaves ``min_leaf`` rows on each side.
+    that order. ``counts`` is the column min_leaf, min_leaf + 1, ... as
+    floats, at least as long as the node has admissible cuts. Returns
+    (column, threshold), or None when no cut between two distinct values
+    leaves ``min_leaf`` rows on each side.
     """
     m = xs.shape[0]
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
+    csum = ys.cumsum(axis=0)
+    csq = (ys * ys).cumsum(axis=0)
     total, total_sq = csum[-1], csq[-1]
 
     # a cut after position p leaves k = p + 1 rows on the left; only
-    # min_leaf <= k <= m - min_leaf is admissible
+    # min_leaf <= k <= m - min_leaf is admissible, and the m - k rows on
+    # the right run through the same counts backwards
     cut = slice(min_leaf - 1, m - min_leaf)
-    k = np.arange(min_leaf, m - min_leaf + 1, dtype=np.float64)[:, None]
+    n_cuts = m - 2 * min_leaf + 1
+    k, rest = counts[:n_cuts], counts[n_cuts - 1 :: -1]
     left_sum, left_sq = csum[cut], csq[cut]
     sse = (left_sq - left_sum**2 / k) + (
-        (total_sq - left_sq) - (total - left_sum) ** 2 / (m - k)
+        (total_sq - left_sq) - (total - left_sum) ** 2 / rest
     )
     sse[xs[cut] >= xs[min_leaf : m - min_leaf + 1]] = np.inf
 
     # position-major: ties go to the smallest cut, then the smallest column
     pos, col = divmod(int(sse.argmin()), xs.shape[1])
-    if not np.isfinite(sse[pos, col]):
+    if not math.isfinite(sse.item(pos, col)):
         return None
     pos += min_leaf - 1
-    lo, hi = xs[pos, col], xs[pos + 1, col]
+    lo, hi = xs.item(pos, col), xs.item(pos + 1, col)
     threshold = 0.5 * (lo + hi)
     if not lo <= threshold < hi:  # float rounding must not empty a child
         threshold = lo
-    return col, float(threshold)
+    return col, threshold
 
 
 def _grow_tree(X, y, hyper: ForestHyper, rng: np.random.Generator) -> dict:
@@ -471,47 +489,50 @@ def _grow_tree(X, y, hyper: ForestHyper, rng: np.random.Generator) -> dict:
     right -1, and children come after their parent.
 
     The sample is sorted once per column (presorted CART, as in SLIQ). A
-    node holds its sample positions in sample order and, per column, in
-    stable value order; filtering both by the split keeps each the order
-    that sorting the child's own rows stably would give.
+    node that may split holds its sample positions in sample order and, per
+    column, in stable value order; filtering both by the split keeps each
+    the order that sorting the child's own rows stably would give. A node
+    gets its value when it is made, and a leaf gets nothing more.
     """
     n, d = X.shape
     rows = rng.integers(0, n, size=n)  # bootstrap sample
     Xs, ys = X[rows], y[rows]
-    pool = np.array([f for f in range(d) if f not in hyper.always_include])
+    pool = np.array([f for f in range(d) if f not in hyper.always_include], dtype=np.int64)
     k_sub = max(1, int(round(hyper.feature_frac * len(pool)))) if len(pool) else 0
+    # the columns offered at a split: a sorted draw from the pool, then always_include
+    feats = np.empty(k_sub + len(hyper.always_include), dtype=np.int64)
+    feats[k_sub:] = hyper.always_include
+    drawn = feats[:k_sub]
+    counts = np.arange(hyper.min_leaf, n + 1, dtype=np.float64)[:, None]
 
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def new_node():
+    def new_node(at, depth):
+        """A node over sample positions ``at``, with its mean; whether it may split."""
+        yn = ys[at]
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
+        value.append(float(np.add.reduce(yn) / yn.shape[0]))  # as yn.mean() rounds
+        splits = (
+            depth < hyper.max_depth
+            and yn.shape[0] >= 2 * hyper.min_leaf
+            and not (yn == yn[0]).all()
+        )
+        return len(feature) - 1, splits
 
     goes_left = np.empty(n, dtype=bool)  # by sample position, for the node being split
-    root = new_node()
-    stack = [(root, np.arange(n), np.argsort(Xs, axis=0, kind="stable").T.copy(), 0)]
+    at = np.arange(n)
+    root, splits = new_node(at, 0)
+    stack = [(root, at, Xs.T.argsort(axis=1, kind="stable"), 0)] if splits else []
     while stack:
         node, at, ranked, depth = stack.pop()
-        yn = ys[at]
-        value[node] = float(yn.mean())
-        if (
-            depth >= hyper.max_depth
-            or at.shape[0] < 2 * hyper.min_leaf
-            or (yn == yn[0]).all()
-        ):
-            continue
-        if k_sub:
-            feats = np.sort(rng.choice(pool, size=k_sub, replace=False))
-            if hyper.always_include:
-                feats = np.concatenate([feats, np.array(hyper.always_include)])
-        else:
-            feats = np.array(hyper.always_include, dtype=np.int64)
+        if k_sub:  # the draw rng.choice(pool, ...) makes, as positions in the pool
+            pool.take(rng.choice(pool.shape[0], size=k_sub, replace=False), out=drawn)
+            drawn.sort()
         order = ranked[feats].T
-        split = _best_split(Xs[order, feats], ys[order], hyper.min_leaf)
+        split = _best_split(Xs[order, feats], ys[order], hyper.min_leaf, counts)
         if split is None:
             continue
         col, thr = split
@@ -519,12 +540,18 @@ def _grow_tree(X, y, hyper: ForestHyper, rng: np.random.Generator) -> dict:
         go_left = Xs[at, f] <= thr
         feature[node] = f
         threshold[node] = thr
-        l_id, r_id = new_node(), new_node()
+        at_left, at_right = at[go_left], at[~go_left]
+        l_id, l_splits = new_node(at_left, depth + 1)
+        r_id, r_splits = new_node(at_right, depth + 1)
         left[node], right[node] = l_id, r_id
+        if not (l_splits or r_splits):
+            continue
         goes_left[at] = go_left
         ranked_left = goes_left[ranked]
-        stack.append((r_id, at[~go_left], ranked[~ranked_left].reshape(d, -1), depth + 1))
-        stack.append((l_id, at[go_left], ranked[ranked_left].reshape(d, -1), depth + 1))
+        if r_splits:
+            stack.append((r_id, at_right, ranked[~ranked_left].reshape(d, -1), depth + 1))
+        if l_splits:
+            stack.append((l_id, at_left, ranked[ranked_left].reshape(d, -1), depth + 1))
 
     return {
         "feature": np.asarray(feature, dtype=np.int64),
@@ -543,6 +570,8 @@ def forest_fit(X: np.ndarray, y: np.ndarray, hyper: ForestHyper = ForestHyper())
         raise ValueError("training set must be a non-empty 2-d array")
     if X.shape[0] != y.shape[0]:
         raise ValueError("one target per row required")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("features and targets must be finite, not NaN or inf")
     seeds = np.random.SeedSequence(hyper.seed).spawn(hyper.n_trees)
     trees = [
         _grow_tree(X, y, hyper, np.random.Generator(np.random.PCG64(s))) for s in seeds

@@ -18,7 +18,6 @@ the queue, so each pair is proposed at most once per episode.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 from enum import Enum
@@ -57,10 +56,10 @@ class PairQueue:
     heap of ``(distance, gid_a, gid_b, row)``, gid_a < gid_b, and drops entries of
     retired ids lazily, or all at once when the heap outgrows twice the
     pairs of live groups. RANDOM moves them, at its first draw, to
-    ``order``: the pairs in (gid_a, gid_b) order, with their rows in
-    ``order_rows``. A pair handed out leaves the queue. A queue follows one
-    episode forward; it rejects a partition that does not descend from the
-    last one it saw.
+    ``order``: an (n, 2) array of the pairs in (gid_a, gid_b) order, with
+    their rows in the array ``order_rows``. A pair handed out leaves the
+    queue. A queue follows one episode forward; it rejects a partition
+    that does not descend from the last one it saw.
     """
 
     def __init__(self, ctx: AlbumContext, eta: int, tau: float):
@@ -78,8 +77,8 @@ class PairQueue:
         self.kept: dict[int, np.ndarray] = {}
         self.start_items = np.empty(0, dtype=np.intp)  # the item of each slot of the start
         self.handed: tuple[int, int, int] | None = None  # (gid_a, gid_b, row)
-        self.order: list[tuple[int, int]] | None = None
-        self.order_rows: list[int] = []
+        self.order: np.ndarray | None = None
+        self.order_rows = np.empty(0, dtype=np.int64)
 
     def sync(self, partition: Partition) -> None:
         """Retire the groups gone from ``partition`` and add its new ones."""
@@ -141,7 +140,8 @@ class PairQueue:
             self.free.append(slot)
             self.kept.pop(gid, None)
         if retired and self.order is not None:
-            self._keep_order(self.order, self.order_rows)
+            live = ~np.isin(self.order, list(retired)).any(axis=1)
+            self.order, self.order_rows = self.order[live], self.order_rows[live]
         for gid, idx in new.items():
             slot = self.free.pop()
             self.slot[gid] = slot
@@ -159,15 +159,18 @@ class PairQueue:
             )
             close = (dist <= self.tau).nonzero()[0]
             self.kept[gid] = np.concatenate([block_g[close], block_b[close]], axis=1)
-            partners = self.slot_gid[older[close]].tolist()
+            partners = self.slot_gid[older[close]]
             if self.order is None:
-                for d, h, row in zip(dist[close].tolist(), partners, range(close.size)):
+                for d, h, row in zip(dist[close].tolist(), partners.tolist(), range(close.size)):
                     heapq.heappush(self.heap, (d, h, gid, row))
-            else:
-                for h, row in zip(partners, range(close.size)):
-                    at = bisect.bisect(self.order, (h, gid))
-                    self.order.insert(at, (h, gid))
-                    self.order_rows.insert(at, row)
+            elif close.size:
+                # every held pair's gid_b is older than gid, so (h, gid)
+                # goes right after the pairs (h, .)
+                rows = partners.argsort()
+                pairs = np.column_stack([partners[rows], np.full(rows.size, gid)])
+                at = np.searchsorted(self.order[:, 0], pairs[:, 0], side="right")
+                self.order = np.insert(self.order, at, pairs, axis=0)
+                self.order_rows = np.insert(self.order_rows, at, rows)
         if len(self.heap) > len(self.slot) * (len(self.slot) - 1):
             self._rebuild()
 
@@ -175,13 +178,6 @@ class PairQueue:
         """Keep the heap's live entries: unique tuples, which pop as they did."""
         self.heap = [e for e in self.heap if e[1] in self.slot and e[2] in self.slot]
         heapq.heapify(self.heap)
-
-    def _keep_order(self, pairs: list[tuple[int, int]], rows: list[int]) -> None:
-        """Make ``order`` the live ones of ``pairs``, which are sorted."""
-        live = self.slot
-        keep = [a in live and b in live for a, b in pairs]
-        self.order = [p for p, k in zip(pairs, keep) if k]
-        self.order_rows = [r for r, k in zip(rows, keep) if k]
 
     def held_blocks(self, gid_a: int, gid_b: int, row: int) -> np.ndarray:
         """The A->B and B->A blocks kept for a held pair of live groups."""
@@ -222,27 +218,35 @@ class PairQueue:
             heapq.heappush(self.heap, entry)
         return [entry[1:] for entry in entries]
 
-    def eligible(self, state: State) -> list[tuple[int, int]]:
-        """All eligible pairs in ascending (gid_a, gid_b) order: the queue's
-        own ``order``, which ``draw`` consumes. The first call moves the
-        heap's pairs into it."""
+    def _sync_order(self, state: State) -> np.ndarray:
+        """Sync, and return ``order``; the first call moves the heap's live
+        pairs into it."""
         self.sync(state.partition)
         if self.order is None:
-            entries = sorted((a, b, row) for _, a, b, row in self.heap)
+            live = [(a, b, row) for _, a, b, row in self.heap
+                    if a in self.slot and b in self.slot]
+            entries = np.array(sorted(live), dtype=np.int64).reshape(-1, 3)
             self.heap = []
-            self._keep_order([e[:2] for e in entries], [e[2] for e in entries])
+            self.order, self.order_rows = entries[:, :2].copy(), entries[:, 2].copy()
         return self.order
+
+    def eligible(self, state: State) -> list[tuple[int, int]]:
+        """All eligible pairs in ascending (gid_a, gid_b) order, the order
+        ``draw`` indexes."""
+        return [(a, b) for a, b in self._sync_order(state).tolist()]
 
     def draw(self, state: State, rng: np.random.Generator | None) -> tuple[int, int] | None:
         """Pop a uniform draw over the ``eligible`` list."""
-        pairs = self.eligible(state)
-        if not pairs:
+        pairs = self._sync_order(state)
+        if not len(pairs):
             return None
         if rng is None:
             raise ValueError("random strategy requires a seeded generator")
         at = int(rng.integers(len(pairs)))
-        gid_a, gid_b = pairs.pop(at)
-        self.handed = (gid_a, gid_b, self.order_rows.pop(at))
+        gid_a, gid_b = pairs[at].tolist()
+        self.handed = (gid_a, gid_b, self.order_rows.item(at))
+        self.order = np.delete(pairs, at, axis=0)
+        self.order_rows = np.delete(self.order_rows, at)
         return gid_a, gid_b
 
 

@@ -83,6 +83,9 @@ class IrlResult:
     mistakes_per_epoch: list[int]
     mistake_set_size: int
     training_accuracy: float
+    # album id -> the expert trajectory (features, actions as +/-1) played
+    # with the training seed; q_train takes it instead of replaying
+    demonstrations: dict[str, tuple[np.ndarray, np.ndarray]]
 
 
 def _labeled_pairs(albums: list[Album], gts: list[Partition] | None):
@@ -118,13 +121,13 @@ def expert_trajectory(
     return np.reshape(phis, (len(labels), feature_dim(config.eta))), np.array(labels)
 
 
-def _demonstrations(pairs, config: PolicyConfig, seed: int, contexts=None) -> list[tuple]:
-    """The expert trajectory of each (album, ground truth) pair, in order."""
+def _demonstrations(pairs, config: PolicyConfig, seed: int, contexts=None) -> dict:
+    """The expert trajectory of each (album, ground truth) pair by album id, in order."""
     contexts = contexts or [None] * len(pairs)
-    return [
-        expert_trajectory(album, gt, config, ctx, album_rng(seed, album.album_id))
+    return {
+        album.album_id: expert_trajectory(album, gt, config, ctx, album_rng(seed, album.album_id))
         for (album, gt), ctx in zip(pairs, contexts)
-    ]
+    }
 
 
 def irl_train(
@@ -149,14 +152,14 @@ def irl_train(
     model: SvmModel = random_svm(dim, seed=train_cfg.seed)
     # the mistake set: features and expert actions (+/-1), kept across epochs
     X, y = np.empty((0, dim)), np.empty(0)
-    trajectories = _demonstrations(pairs, config, train_cfg.seed)
+    demonstrations = _demonstrations(pairs, config, train_cfg.seed)
 
     mistakes_per_epoch: list[int] = []
     converged = False
     for epoch in range(1, train_cfg.max_epochs + 1):
         epoch_mistakes = 0
         albums_solved = 0
-        for phis, labels in trajectories:
+        for phis, labels in demonstrations.values():
             if len(labels) == 0:
                 albums_solved += 1
                 continue
@@ -191,6 +194,7 @@ def irl_train(
         mistakes_per_epoch=mistakes_per_epoch,
         mistake_set_size=len(y),
         training_accuracy=svm_accuracy(model, X, y) if len(y) else 1.0,
+        demonstrations=demonstrations,
     )
 
 
@@ -215,13 +219,17 @@ def q_train(
     forest_hyper: ForestHyper | None = None,
     train_cfg: TrainConfig = TrainConfig(),
     gts: list[Partition] | None = None,
+    demonstrations: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> QTrainResult:
     """Fit the action-value forest by epsilon-greedy play on labeled albums.
 
     The forest is bootstrapped from the myopic stage's states and rewards,
     then refit every ``refit_every`` episodes on targets
     reward + gamma * max_a' Q(next candidate, a'). Epsilon decays linearly
-    to zero across ``epsilon_decay_episodes`` episodes.
+    to zero across ``epsilon_decay_episodes`` episodes. ``demonstrations``
+    are ``IrlResult.demonstrations`` of an ``irl_train`` run on these
+    albums with the same config and seed; without them the expert
+    trajectories are played again.
     """
     if not albums:
         raise ValueError("album set must not be empty")
@@ -240,7 +248,10 @@ def q_train(
     # visited on the expert path, valued by the stage-one reward.
     boot_X: list[np.ndarray] = []
     boot_y: list[np.ndarray] = []
-    for phis, labels in _demonstrations(pairs, config, train_cfg.seed, contexts):
+    if demonstrations is None:
+        demonstrations = _demonstrations(pairs, config, train_cfg.seed, contexts)
+    for album, _ in pairs:
+        phis, labels = demonstrations[album.album_id]
         if len(labels) == 0:
             continue
         values = labels if use_pm1 else svm.decision_many(phis)

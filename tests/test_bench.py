@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facegroup.bench import (
     SchemaError,
@@ -78,6 +81,21 @@ class TestSimulate:
             SimConfig(profile_fraction=0.7, noise_fraction=0.5)
 
 
+@functools.cache
+def small_models():
+    """An SVM fitted on the expert path of one simulated album, and a
+    three-tree forest fitted on random Q rows."""
+    other = simulate(SimConfig(n_albums=2, seed=10))[1]
+    X, y = expert_trajectory(other, ground_truth_partition(other), PolicyConfig())
+    svm = svm_fit(X, y, SvmHyper(c_reg=10.0, gamma=3.0))
+    rng = np.random.Generator(np.random.PCG64(10))
+    X = rng.uniform(0, 1, size=(200, 23))
+    X[:, 22] = np.where(rng.random(200) < 0.5, 1.0, -1.0)
+    forest = forest_fit(X, X[:, 22] * (0.3 - X[:, 0]),
+                        ForestHyper(n_trees=3, always_include=(22,), seed=10))
+    return svm, forest
+
+
 class TestEvaluate:
     def test_ground_truth_prediction_is_perfect(self):
         albums = simulate(SimConfig(n_albums=2, seed=5))
@@ -134,15 +152,8 @@ class TestEvaluate:
         """Relabelling the album, with other identity strings or with none,
         leaves every step of the grouping trace and the partition as they
         were, under the SVM and under a forest."""
-        album, other = simulate(SimConfig(n_albums=2, seed=10))
-        X, y = expert_trajectory(other, ground_truth_partition(other), PolicyConfig())
-        svm = svm_fit(X, y, SvmHyper(c_reg=10.0, gamma=3.0))
-        rng = np.random.Generator(np.random.PCG64(10))
-        X = rng.uniform(0, 1, size=(200, 23))
-        X[:, 22] = np.where(rng.random(200) < 0.5, 1.0, -1.0)
-        forest = forest_fit(X, X[:, 22] * (0.3 - X[:, 0]),
-                            ForestHyper(n_trees=3, always_include=(22,), seed=10))
-        for model in (svm, forest):
+        album = simulate(SimConfig(n_albums=2, seed=10))[0]
+        for model in small_models():
             runs = []
             for relabel in (lambda label: label, lambda label: f"other-{label}",
                             lambda label: None):
@@ -154,6 +165,42 @@ class TestEvaluate:
                 runs.append((steps, trace.final_partition))
             assert len({action for _, action, _, _ in runs[0][0]}) == 2
             assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def swapped(phis: np.ndarray, eta: int = 5) -> np.ndarray:
+    """Feature rows with each pair's two groups in the other order."""
+    halves = np.arange(2 * eta).reshape(2, eta)[::-1].ravel()
+    return phis[:, np.concatenate([halves, 2 * eta + np.array([1, 0]), 2 * eta + 2 + halves])]
+
+
+@given(data=st.data(), seed=st.integers(0, 2**16), merge_all=st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_grouping_does_not_depend_on_item_order(data, seed, merge_all):
+    """Grouping an album with its items permuted gives the same groups of
+    item ids, and evaluating it the same scores, under a policy that reads
+    a pair's two groups alike: one that merges every pair, or an SVM that
+    holds each support vector in both group orders. A pair's features put
+    its older group first, so a policy that tells the two orders apart can
+    group a permuted album otherwise."""
+    album = simulate(SimConfig(n_albums=1, seed=seed))[0]
+    order = data.draw(st.permutations(range(len(album))))
+    permuted = Album(album.album_id, tuple(album.items[i] for i in order))
+    svm, _ = small_models()
+    model = constant_svm(22, bias=1.0) if merge_all else dataclasses.replace(
+        svm,
+        support_vectors=np.vstack([svm.support_vectors, swapped(svm.support_vectors)]),
+        coef=np.concatenate([svm.coef, svm.coef]),
+    )
+    config = PolicyConfig()
+
+    def groups(album):
+        partition = group_album(album, model, config).final_partition
+        return {frozenset(album.items[i].item_id for i in m) for _, m in partition.groups}
+
+    assert groups(permuted) == groups(album)
+    (row,) = evaluate([permuted], model, config)["per_album"]
+    (reference,) = evaluate([album], model, config)["per_album"]
+    assert row == pytest.approx(reference, rel=1e-12)
 
 
 class TestDatasetIO:

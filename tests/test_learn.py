@@ -54,6 +54,14 @@ class TestSvmFit:
         with pytest.raises(ValueError, match="NaN"):
             svm_fit(X, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("column, label", [(np.inf, 1.0), (-np.inf, 1.0), (0.0, np.nan)])
+    def test_non_finite_rejected(self, column, label):
+        # an inf feature once gave "invalid value encountered in subtract"
+        # and a NaN model
+        X = np.array([[column, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            svm_fit(X, np.array([label, -1.0, 1.0]))
+
     def test_alphas_bounded_by_c_reg(self):
         rng = np.random.Generator(np.random.PCG64(2))
         X = rng.normal(size=(60, 4))
@@ -146,6 +154,14 @@ class TestForest:
         assert all(max(t["feature"]) == -1 for t in stumps.to_dict()["trees"])
         grown = forest_fit(X, y, ForestHyper(n_trees=5, min_leaf=1))
         assert any(max(t["feature"]) >= 0 for t in grown.to_dict()["trees"])
+
+    @pytest.mark.parametrize("column, target", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0)])
+    def test_non_finite_rejected(self, column, target):
+        # a NaN target once gave a forest that predicts NaN and whose
+        # to_dict() from_dict refuses
+        X = np.array([[column, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            forest_fit(X, np.array([target, 0.0, 1.0, 2.0]), ForestHyper(n_trees=2, min_leaf=1))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

@@ -154,6 +154,21 @@ class TestQTrain:
         assert a.model.to_dict() == b.model.to_dict()
 
 
+def test_q_train_takes_the_demonstrations_of_irl_train():
+    # facegroup train --stage both hands stage one's expert trajectories on
+    albums = easy_sim()
+    config = PolicyConfig(epsilon_decay_episodes=4)
+    hyper, train_cfg = ForestHyper(n_trees=5, seed=3), TrainConfig(seed=3, refit_every=2)
+    irl = irl_train(albums, config, SVM_HYPER, train_cfg)
+    replayed = q_train(albums, irl.model, config, hyper, train_cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(train, "expert_trajectory", None)  # a replay would fail
+        handed = q_train(albums, irl.model, config, hyper, train_cfg,
+                         demonstrations=irl.demonstrations)
+    assert handed.model.to_dict() == replayed.model.to_dict()
+    assert sorted(irl.demonstrations) == sorted(a.album_id for a in albums)
+
+
 @functools.cache
 def trained_in_order(order: tuple[int, ...]) -> tuple[dict, dict]:
     """Both stages' models, trained on easy_sim()'s albums in ``order``."""
