@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
@@ -42,8 +41,6 @@ from .features import AlbumContext
 from .learn import ForestModel, SvmModel
 from .metrics import bcubed, normalized_op
 from .recommend import Strategy, recommend  # noqa: F401
-
-logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -114,6 +111,11 @@ def simulate(config: SimConfig) -> list[Album]:
         # orthonormal identity centers: pairwise angular distance exactly 0.5
         basis, _ = np.linalg.qr(rng.normal(size=(config.dim, config.dim)))
         items: list[FaceItem] = []
+
+        def add(raw: np.ndarray, label: str, q_mean: float) -> None:
+            quality = _quality(rng, q_mean, config.q_jitter)  # drawn after the embedding
+            items.append(FaceItem(f"{album_id}_i{len(items):04d}", _unit(raw), quality, label))
+
         n_identities = int(rng.integers(config.identities[0], config.identities[1] + 1))
         for ident in range(n_identities):
             label = f"{album_id}_id{ident:02d}"
@@ -130,20 +132,12 @@ def simulate(config: SimConfig) -> list[Album]:
                         + config.profile_pull * pose
                         + config.profile_spread * rng.normal(size=config.dim) / np.sqrt(config.dim)
                     )
-                    quality = _quality(rng, config.q_profile, config.q_jitter)
+                    add(raw, label, config.q_profile)
                 else:
                     raw = center + config.frontal_spread * rng.normal(size=config.dim) / np.sqrt(
                         config.dim
                     )
-                    quality = _quality(rng, config.q_frontal, config.q_jitter)
-                items.append(
-                    FaceItem(
-                        item_id=f"{album_id}_i{len(items):04d}",
-                        embedding=_unit(raw),
-                        quality=quality,
-                        label=label,
-                    )
-                )
+                    add(raw, label, config.q_frontal)
         n_identity_items = len(items)
         n_noise = int(round(
             n_identity_items * config.noise_fraction / max(1e-9, 1.0 - config.noise_fraction)
@@ -152,14 +146,7 @@ def simulate(config: SimConfig) -> list[Album]:
             raw = config.noise_pull * pose + config.noise_spread * rng.normal(
                 size=config.dim
             ) / np.sqrt(config.dim)
-            items.append(
-                FaceItem(
-                    item_id=f"{album_id}_i{len(items):04d}",
-                    embedding=_unit(raw),
-                    quality=_quality(rng, config.q_noise, config.q_jitter),
-                    label=NOISE,
-                )
-            )
+            add(raw, NOISE, config.q_noise)
         albums.append(Album(album_id=album_id, items=tuple(items)))
     return albums
 
@@ -198,17 +185,14 @@ def score_album(album: Album, predicted: Partition, costs: CostModel) -> dict:
     }
 
 
-def group_album(
-    album: Album, policy: Policy, config: PolicyConfig, rng_seed: int = 0
-) -> EpisodeTrace:
+def group_album(album: Album, policy: Policy, config: PolicyConfig) -> EpisodeTrace:
     """Run the policy on one album in inference mode: no label is read."""
-    return run_episode(album, policy, config, rng=album_rng(rng_seed, album.album_id))
+    return run_episode(album, policy, config, rng=album_rng(0, album.album_id))
 
 
-def _eval_one(args) -> tuple[dict, EpisodeTrace]:
+def _eval_one(args) -> dict:
     album, policy, config = args
-    trace = group_album(album, policy, config)
-    return score_album(album, trace.final_partition, config.costs), trace
+    return score_album(album, group_album(album, policy, config).final_partition, config.costs)
 
 
 def evaluate(
@@ -233,12 +217,9 @@ def evaluate(
             rows.append(score_album(album, partitions[album.album_id], config.costs))
     elif jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for row, _ in pool.map(_eval_one, [(a, policy, config) for a in albums]):
-                rows.append(row)
+            rows = list(pool.map(_eval_one, [(a, policy, config) for a in albums]))
     else:
-        for album in albums:
-            row, _ = _eval_one((album, policy, config))
-            rows.append(row)
+        rows = [_eval_one((album, policy, config)) for album in albums]
     macro = {
         key: float(np.mean([r[key] for r in rows]))
         for key in ("precision", "recall", "f1", "op_norm")
@@ -252,42 +233,21 @@ def evaluate(
     }
 
 
-def pr_sweep(
-    albums: list[Album],
-    policies: dict[str, Policy],
-    config: PolicyConfig,
-    jobs: int = 1,
-) -> list[dict]:
-    """Precision/recall operating points of several policies on one dataset
-    (e.g. the same learner trained under different cost distributions)."""
-    rows = []
-    for name, policy in policies.items():
-        report = evaluate(albums, policy, config, jobs=jobs)
-        rows.append({"name": name, **report["macro"]})
-    return rows
-
-
 def render_table(report: dict) -> str:
-    """Human-readable metric table, one album per row plus the macro average."""
-    lines = [f"{'album':<14} {'P(%)':>7} {'R(%)':>7} {'F1(%)':>7} {'Op':>7}"]
-    for row in report["per_album"]:
-        lines.append(
-            f"{row['album_id']:<14} {100 * row['precision']:>7.1f} "
-            f"{100 * row['recall']:>7.1f} {100 * row['f1']:>7.1f} {row['op_norm']:>7.2f}"
-        )
-    m = report["macro"]
-    lines.append(
-        f"{'macro':<14} {100 * m['precision']:>7.1f} {100 * m['recall']:>7.1f} "
-        f"{100 * m['f1']:>7.1f} {m['op_norm']:>7.2f}"
-    )
+    """Human-readable metric table, one album per row plus the macro average,
+    then a row per sweep model when the report holds a sweep."""
+
+    def header(name: str) -> str:
+        return f"{name:<14} {'P(%)':>7} {'R(%)':>7} {'F1(%)':>7} {'Op':>7}"
+
+    def row(name: str, m: dict) -> str:
+        return (f"{name:<14} {100 * m['precision']:>7.1f} {100 * m['recall']:>7.1f} "
+                f"{100 * m['f1']:>7.1f} {m['op_norm']:>7.2f}")
+
+    lines = [header("album"), *(row(r["album_id"], r) for r in report["per_album"])]
+    lines.append(row("macro", report["macro"]))
     if "sweep" in report:
-        lines.append("")
-        lines.append(f"{'sweep':<14} {'P(%)':>7} {'R(%)':>7} {'F1(%)':>7} {'Op':>7}")
-        for row in report["sweep"]:
-            lines.append(
-                f"{row['name']:<14} {100 * row['precision']:>7.1f} "
-                f"{100 * row['recall']:>7.1f} {100 * row['f1']:>7.1f} {row['op_norm']:>7.2f}"
-            )
+        lines += ["", header("sweep"), *(row(r["name"], r) for r in report["sweep"])]
     return "\n".join(lines)
 
 
@@ -315,20 +275,24 @@ def save_dataset(albums: list[Album], path: str) -> None:
                 )
 
 
+def json_object(text: str, where: str) -> dict:
+    """``text`` read as JSON, which must be an object: invalid JSON or
+    another value is a SchemaError that starts with ``where``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: not a JSON object")
+    return doc
+
+
 def _records(path: str) -> Iterator[tuple[int, dict]]:
-    """(line number, record) of every non-blank line of a JSON Lines file;
-    a line that is not a JSON object is a SchemaError."""
+    """(line number, record) of every non-blank line of a JSON Lines file."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"record {lineno}: invalid JSON ({exc})") from None
-            if not isinstance(rec, dict):
-                raise SchemaError(f"record {lineno}: not a JSON object")
-            yield lineno, rec
+            if line.strip():
+                yield lineno, json_object(line, f"record {lineno}")
 
 
 def load_dataset(path: str, normalize: bool = False) -> list[Album]:
@@ -365,13 +329,15 @@ def load_dataset(path: str, normalize: bool = False) -> list[Album]:
         raise SchemaError(str(exc)) from None
 
 
+# a model file's "kind" and the class it holds
+_MODEL_KINDS = {"svm": SvmModel, "forest": ForestModel}
+
+
 def save_model(model: Policy, config: PolicyConfig, path: str) -> None:
-    if isinstance(model, SvmModel):
-        doc = {"schema": SCHEMA_VERSION, "kind": "svm", **model.to_dict()}
-    elif isinstance(model, ForestModel):
-        doc = {"schema": SCHEMA_VERSION, "kind": "forest", **model.to_dict()}
-    else:
+    kind = next((k for k, cls in _MODEL_KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise ValueError(f"cannot serialize model of type {type(model)!r}")
+    doc = {"schema": SCHEMA_VERSION, "kind": kind, **model.to_dict()}
     doc["policy_config"] = config_dict(config)
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -381,20 +347,15 @@ def save_model(model: Policy, config: PolicyConfig, path: str) -> None:
 def load_model(path: str) -> tuple[Policy, PolicyConfig]:
     """Read a model file; any missing or malformed content is a SchemaError."""
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"model file is not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("model file must hold a JSON object")
+        doc = json_object(fh.read(), "model file")
     if doc.get("schema") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported model schema {doc.get('schema')!r}")
     kind = doc.get("kind")
-    loaders = {"svm": SvmModel.from_dict, "forest": ForestModel.from_dict}
-    if kind not in loaders:
+    cls = _MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise SchemaError(f"unknown model kind {kind!r}")
     try:
-        return loaders[kind](doc), config_from_dict(PolicyConfig, doc["policy_config"])
+        return cls.from_dict(doc), config_from_dict(PolicyConfig, doc["policy_config"])
     except KeyError as exc:
         raise SchemaError(f"{kind} model: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

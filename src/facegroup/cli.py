@@ -40,13 +40,7 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("config file must hold a JSON object")
-    return doc
+        return bench.json_object(fh.read(), "config file")
 
 
 def _config(doc: dict, section: str, cls, **flags):
@@ -112,6 +106,7 @@ def cmd_train(args) -> int:
         svm, _ = bench.load_model(args.svm_model)
         if not isinstance(svm, SvmModel):
             raise CliError("schema-mismatch", f"{args.svm_model} is not an svm model")
+        _check_dim(svm, albums, policy_cfg)
     q_result = train_mod.q_train(albums, svm, policy_cfg, forest_hyper, train_cfg,
                                  demonstrations=demonstrations)
     bench.save_model(q_result.model, policy_cfg, args.out_model)
@@ -180,7 +175,11 @@ def cmd_eval(args) -> int:
                 )
             name, path = entry.split("=", 1)
             policies[name], _ = bench.load_model(path)
-        report["sweep"] = bench.pr_sweep(albums, policies, policy_cfg, jobs=args.jobs)
+            _check_dim(policies[name], albums, policy_cfg)
+        report["sweep"] = [
+            {"name": name, **bench.evaluate(albums, policy, policy_cfg, jobs=args.jobs)["macro"]}
+            for name, policy in policies.items()
+        ]
     with open(args.report, "w") as fh:
         json.dump(report, fh, sort_keys=True)
         fh.write("\n")

@@ -105,15 +105,16 @@ class SvmModel:
         return model
 
 
-def random_svm(dim: int, seed: int, n_anchors: int = 8, scale: float = 2.0) -> SvmModel:
+def random_svm(dim: int, seed: int) -> SvmModel:
     """Randomly initialized decision function used before any mistakes exist.
 
-    Anchors are drawn inside the unit cube where feature vectors live, so
-    the decision surface actually varies over inputs.
+    Eight anchors are drawn inside the unit cube where feature vectors
+    live, with N(0, 2) weights, so the decision surface actually varies
+    over inputs.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    anchors = rng.uniform(0.0, 1.0, size=(n_anchors, dim))
-    coef = rng.normal(0.0, scale, size=n_anchors)
+    anchors = rng.uniform(0.0, 1.0, size=(8, dim))
+    coef = rng.normal(0.0, 2.0, size=8)
     return SvmModel(
         support_vectors=anchors,
         coef=coef,
@@ -280,12 +281,6 @@ def _smo_step(i, j, alpha, y, C, F, krow, work, eps) -> bool:
     np.multiply(row_j, y_j * (a_j_new - a_j), d_j)
     np.subtract(F, np.add(d_i, d_j, d_i), F)
     return True
-
-
-def svm_accuracy(model: SvmModel, X: np.ndarray, y: np.ndarray) -> float:
-    pred = np.sign(model.decision_many(X))
-    pred[pred == 0] = -1.0
-    return float(np.mean(pred == np.sign(y)))
 
 
 @dataclass(frozen=True)

@@ -230,13 +230,9 @@ class PairQueue:
             self.order, self.order_rows = entries[:, :2].copy(), entries[:, 2].copy()
         return self.order
 
-    def eligible(self, state: State) -> list[tuple[int, int]]:
-        """All eligible pairs in ascending (gid_a, gid_b) order, the order
-        ``draw`` indexes."""
-        return [(a, b) for a, b in self._sync_order(state).tolist()]
-
     def draw(self, state: State, rng: np.random.Generator | None) -> tuple[int, int] | None:
-        """Pop a uniform draw over the ``eligible`` list."""
+        """Pop a uniform draw over the eligible pairs in ascending (gid_a,
+        gid_b) order; the order is part of the seeded behaviour."""
         pairs = self._sync_order(state)
         if not len(pairs):
             return None

@@ -48,7 +48,6 @@ from .learn import (
     constant_svm,
     forest_fit,
     random_svm,
-    svm_accuracy,
     svm_fit,
 )
 from .metrics import op_cost  # noqa: F401
@@ -88,16 +87,13 @@ class IrlResult:
     demonstrations: dict[str, tuple[np.ndarray, np.ndarray]]
 
 
-def _labeled_pairs(albums: list[Album], gts: list[Partition] | None):
+def _labeled_pairs(albums: list[Album]) -> list[tuple[Album, Partition]]:
     """(album, ground truth) pairs in album-id order, so that training does
     not depend on the order of ``albums``."""
-    if gts is None:
-        gts = [ground_truth_partition(a) for a in albums]
-    if len(gts) != len(albums):
-        raise ValueError("one ground-truth partition per album required")
     if len({a.album_id for a in albums}) != len(albums):
         raise ValueError("album ids must be unique")
-    return sorted(zip(albums, gts), key=lambda pair: pair[0].album_id)
+    pairs = [(a, ground_truth_partition(a)) for a in albums]
+    return sorted(pairs, key=lambda pair: pair[0].album_id)
 
 
 def expert_trajectory(
@@ -135,7 +131,6 @@ def irl_train(
     config: PolicyConfig,
     svm_hyper: SvmHyper = SvmHyper(),
     train_cfg: TrainConfig = TrainConfig(),
-    gts: list[Partition] | None = None,
 ) -> IrlResult:
     """Learn the short-term reward via iterative mistake mining.
 
@@ -147,7 +142,7 @@ def irl_train(
     """
     if not albums:
         raise ValueError("album set must not be empty")
-    pairs = _labeled_pairs(albums, gts)
+    pairs = _labeled_pairs(albums)
     dim = feature_dim(config.eta)
     model: SvmModel = random_svm(dim, seed=train_cfg.seed)
     # the mistake set: features and expert actions (+/-1), kept across epochs
@@ -163,9 +158,8 @@ def irl_train(
             if len(labels) == 0:
                 albums_solved += 1
                 continue
-            decisions = model.decision_many(phis)
-            predicted = np.where(decisions > 0, 1.0, -1.0)
-            wrong = np.flatnonzero(predicted != labels)
+            # the model merges where its decision is positive
+            wrong = np.flatnonzero((model.decision_many(phis) > 0) != (labels > 0))
             epoch_mistakes += len(wrong)
             if len(wrong) == 0:
                 albums_solved += 1
@@ -193,7 +187,7 @@ def irl_train(
         epochs_run=len(mistakes_per_epoch),
         mistakes_per_epoch=mistakes_per_epoch,
         mistake_set_size=len(y),
-        training_accuracy=svm_accuracy(model, X, y) if len(y) else 1.0,
+        training_accuracy=float(np.mean((model.decision_many(X) > 0) == (y > 0)) if len(y) else 1),
         demonstrations=demonstrations,
     )
 
@@ -201,7 +195,6 @@ def irl_train(
 @dataclass
 class QTrainResult:
     model: ForestModel
-    episodes_run: int
     n_experiences: int
 
 
@@ -218,7 +211,6 @@ def q_train(
     config: PolicyConfig,
     forest_hyper: ForestHyper | None = None,
     train_cfg: TrainConfig = TrainConfig(),
-    gts: list[Partition] | None = None,
     demonstrations: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> QTrainResult:
     """Fit the action-value forest by epsilon-greedy play on labeled albums.
@@ -233,12 +225,12 @@ def q_train(
     """
     if not albums:
         raise ValueError("album set must not be empty")
-    pairs = _labeled_pairs(albums, gts)
+    pairs = _labeled_pairs(albums)
     q_dim = feature_dim(config.eta) + 1
-    if forest_hyper is None:
-        forest_hyper = ForestHyper(always_include=(q_dim - 1,), seed=train_cfg.seed)
-    elif not forest_hyper.always_include:
-        forest_hyper = dataclasses.replace(forest_hyper, always_include=(q_dim - 1,))
+    # the action flag, the last feature, is offered at every split unless the hyper names others
+    forest_hyper = forest_hyper or ForestHyper(seed=train_cfg.seed)
+    forest_hyper = dataclasses.replace(
+        forest_hyper, always_include=forest_hyper.always_include or (q_dim - 1,))
     if not all(0 <= f < q_dim for f in forest_hyper.always_include):
         raise ValueError(f"always_include must hold feature indices in [0, {q_dim})")
     contexts = [AlbumContext(a) for a, _ in pairs]
@@ -284,7 +276,7 @@ def q_train(
             "q episode=%d album=%s epsilon=%.3f experiences=%d",
             i, album.album_id, epsilon, len(memory[1]),
         )
-    return QTrainResult(model=forest, episodes_run=episodes, n_experiences=len(memory[1]))
+    return QTrainResult(model=forest, n_experiences=len(memory[1]))
 
 
 def _play_episode(gt, ctx, forest, svm, config, epsilon, rng, use_pm1) -> tuple[np.ndarray, ...]:

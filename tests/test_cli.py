@@ -106,6 +106,61 @@ def test_dimension_mismatch_reported(tmp_path, small_config, capsys):
     assert capsys.readouterr().err.startswith("error:dimension-mismatch:")
 
 
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_dimension_mismatch_of_sweep_model_and_stage_q_svm(tmp_path, small_config, capsys,
+                                                           command):
+    """A cost-sweep model and the stage-q SVM are checked against the
+    configuration as the grouped model is."""
+    from facegroup.bench import save_model
+    from facegroup.engine import PolicyConfig
+    from facegroup.learn import constant_svm
+
+    data, good, bad = (str(tmp_path / name) for name in ("data.jsonl", "good.json", "bad.json"))
+    run(["simulate", "--config", small_config, "--out", data])
+    save_model(constant_svm(22, 1.0), PolicyConfig(), good)
+    save_model(constant_svm(10, 0.5), PolicyConfig(), bad)
+    argv = {
+        "eval": ["eval", "--data", data, "--model", good, "--report", str(tmp_path / "r.json"),
+                 "--cost-sweep", f"bad={bad}"],
+        "train": ["train", "--data", data, "--out-model", str(tmp_path / "m.json"),
+                  "--stage", "q", "--svm-model", bad, "--config", small_config],
+    }[command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:dimension-mismatch:"), err
+
+
+def test_cost_sweep_scores_each_model_in_argument_order(tmp_path, small_config, capsys):
+    """Each ``--cost-sweep`` model gets one report row, its ``evaluate``
+    macro scores under the grouped model's configuration, in argument
+    order; the table prints a sweep header and one row per model."""
+    from facegroup.bench import evaluate, load_dataset, save_model
+    from facegroup.engine import PolicyConfig
+    from facegroup.learn import constant_svm, random_svm
+
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", small_config, "--out", data])
+    config = PolicyConfig()
+    models = {"merge": constant_svm(22, 1.0), "random": random_svm(22, seed=1),
+              "apart": constant_svm(22, -1.0)}
+    sweep = []
+    for name, model in models.items():
+        save_model(model, config, str(tmp_path / f"{name}.json"))
+        sweep += ["--cost-sweep", f"{name}={tmp_path / name}.json"]
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["eval", "--data", data, "--model", str(tmp_path / "random.json"),
+                "--report", str(report)] + sweep) == 0
+    albums = load_dataset(data)
+    assert json.loads(report.read_text())["sweep"] == [
+        {"name": name, **evaluate(albums, model, config)["macro"]}
+        for name, model in models.items()
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index(f"{'sweep':<14} {'P(%)':>7} {'R(%)':>7} {'F1(%)':>7} {'Op':>7}")
+    assert [line.split()[0] for line in lines[header + 1:]] == list(models)
+
+
 def test_eval_requires_exactly_one_source(tmp_path, small_config, capsys):
     data = str(tmp_path / "data.jsonl")
     run(["simulate", "--config", small_config, "--out", data])
@@ -233,6 +288,25 @@ def test_model_missing_key_is_schema_mismatch(tmp_path, small_config, capsys, dr
     doc = json.loads(model.read_text())
     del doc[drop]
     model.write_text(json.dumps(doc))
+    expect_schema_mismatch(
+        ["group", "--data", data, "--model", str(model),
+         "--out-partitions", str(tmp_path / "p.jsonl")],
+        capsys,
+    )
+
+
+@pytest.mark.parametrize("kind", ["tree", None, ["svm"]])
+def test_unknown_model_kind_is_schema_mismatch(tmp_path, small_config, capsys, kind):
+    # a kind that is not a string must not reach the kind table's lookup
+    from facegroup.bench import save_model
+    from facegroup.engine import PolicyConfig
+    from facegroup.learn import constant_svm
+
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", small_config, "--out", data])
+    model = tmp_path / "m.json"
+    save_model(constant_svm(22, 0.5), PolicyConfig(), str(model))
+    model.write_text(json.dumps({**json.loads(model.read_text()), "kind": kind}))
     expect_schema_mismatch(
         ["group", "--data", data, "--model", str(model),
          "--out-partitions", str(tmp_path / "p.jsonl")],

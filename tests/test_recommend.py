@@ -233,11 +233,22 @@ def test_asking_again_returns_the_next_pair(three_singletons, strategy):
     assert recommend(state, queue, strategy, rng) is None
 
 
+class StubGenerator:
+    """Answers every ``integers(n)`` with one fixed index."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def integers(self, n):
+        return self.at
+
+
 def test_eligible_pairs_in_group_id_order(three_singletons):
-    # RANDOM indexes into this list, so its order is part of the seeded behaviour
+    # RANDOM draws an index into the pairs in this order, so it is part of
+    # the seeded behaviour
     album, ctx = three_singletons
-    queue = PairQueue(ctx, 5, 1.0)
-    assert queue.eligible(State.initial(3)) == [(0, 1), (0, 2), (1, 2)]
+    drawn = [PairQueue(ctx, 5, 1.0).draw(State.initial(3), StubGenerator(at)) for at in range(3)]
+    assert drawn == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_deterministic_tie_break_on_group_ids():

@@ -113,11 +113,14 @@ class TestQTrain:
         with pytest.raises(ValueError):
             q_train([], self.svm, self.config)
 
-    def test_trains_and_groups(self):
+    def test_trains_and_groups(self, monkeypatch):
+        played = []
+        play = train._play_episode
+        monkeypatch.setattr(train, "_play_episode", lambda *a: played.append(a) or play(*a))
         result = q_train(
             self.albums, self.svm, self.config, train_cfg=TrainConfig(seed=3, refit_every=4)
         )
-        assert result.episodes_run == 8
+        assert len(played) == self.config.epsilon_decay_episodes == 8
         assert result.n_experiences > 0
         report = evaluate(self.albums, result.model, self.config)
         assert report["macro"]["f1"] > 0.9
@@ -173,11 +176,10 @@ def test_q_train_takes_the_demonstrations_of_irl_train():
 def trained_in_order(order: tuple[int, ...]) -> tuple[dict, dict]:
     """Both stages' models, trained on easy_sim()'s albums in ``order``."""
     albums = [easy_sim()[i] for i in order]
-    gts = [ground_truth_partition(a) for a in albums]
     config = PolicyConfig(epsilon_decay_episodes=6)
-    irl = irl_train(albums, config, SVM_HYPER, TrainConfig(seed=3), gts=gts)
+    irl = irl_train(albums, config, SVM_HYPER, TrainConfig(seed=3))
     q = q_train(albums, irl.model, config, ForestHyper(n_trees=5, seed=3),
-                TrainConfig(seed=3, refit_every=3), gts=gts)
+                TrainConfig(seed=3, refit_every=3))
     return irl.model.to_dict(), q.model.to_dict()
 
 
@@ -217,7 +219,7 @@ def test_q_train_matches_experience_replay(seed, gamma, reward_mode, capacity):
     train_cfg = TrainConfig(seed=seed, refit_every=2, reward_mode=reward_mode)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(train, "BUFFER_CAPACITY", cap)
-        result = q_train(albums, svm, config, hyper, train_cfg, gts=gts)
+        result = q_train(albums, svm, config, hyper, train_cfg)
     forest, kept = q_train_reference(albums, gts, svm, config, hyper, train_cfg, cap)
     assert result.model.to_dict() == forest.to_dict()
     assert result.n_experiences == kept
