@@ -8,7 +8,8 @@ frontals), and noise items are uniform on the sphere with low quality.
 
 All randomness flows from numpy's PCG64 generator seeded via SeedSequence,
 so a fixed seed reproduces a dataset bit for bit. Files are JSON Lines for
-datasets, partitions, and traces, and a single JSON document for models.
+datasets, partitions, and traces (``write_records``), and one JSON document
+for models, reports and sidecars (``write_json``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -92,29 +93,28 @@ class SimConfig:
             raise ValueError("profile and noise fractions must sum to at most 1")
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def _quality(rng, mean: float, jitter: float) -> float:
-    return float(np.clip(rng.normal(mean, jitter), 0.0, 1.0))
-
-
 def simulate(config: SimConfig) -> list[Album]:
     """Generate labeled synthetic albums; same config -> identical albums."""
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_albums)
+    identity_share = max(1e-9, 1.0 - config.noise_fraction)
     albums = []
     for a_idx, seq in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(seq))
         album_id = f"album{a_idx:03d}"
-        pose = _unit(rng.normal(size=config.dim))
+        pose = rng.normal(size=config.dim)
+        pose /= np.linalg.norm(pose)
         # orthonormal identity centers: pairwise angular distance exactly 0.5
         basis, _ = np.linalg.qr(rng.normal(size=(config.dim, config.dim)))
         items: list[FaceItem] = []
 
-        def add(raw: np.ndarray, label: str, q_mean: float) -> None:
-            quality = _quality(rng, q_mean, config.q_jitter)  # drawn after the embedding
-            items.append(FaceItem(f"{album_id}_i{len(items):04d}", _unit(raw), quality, label))
+        def add(base: np.ndarray, spread: float, q_mean: float, n: int, label: str) -> None:
+            # one row per item: its dim jitters, then its quality draw
+            z = rng.normal(size=(n, config.dim + 1))
+            raw = base + spread * z[:, :config.dim] / np.sqrt(config.dim)
+            raw /= np.sqrt(np.vecdot(raw, raw))[:, None]
+            qualities = np.clip(q_mean + config.q_jitter * z[:, config.dim], 0.0, 1.0).tolist()
+            for emb, quality in zip(raw, qualities):
+                items.append(FaceItem(f"{album_id}_i{len(items):04d}", emb, quality, label))
 
         n_identities = int(rng.integers(config.identities[0], config.identities[1] + 1))
         for ident in range(n_identities):
@@ -123,30 +123,12 @@ def simulate(config: SimConfig) -> list[Album]:
             count = int(
                 rng.integers(config.items_per_identity[0], config.items_per_identity[1] + 1)
             )
-            denom = max(1e-9, 1.0 - config.noise_fraction)
-            n_profile = int(round(count * config.profile_fraction / denom))
-            for k in range(count):
-                if k < n_profile:
-                    raw = (
-                        (1.0 - config.profile_pull) * center
-                        + config.profile_pull * pose
-                        + config.profile_spread * rng.normal(size=config.dim) / np.sqrt(config.dim)
-                    )
-                    add(raw, label, config.q_profile)
-                else:
-                    raw = center + config.frontal_spread * rng.normal(size=config.dim) / np.sqrt(
-                        config.dim
-                    )
-                    add(raw, label, config.q_frontal)
-        n_identity_items = len(items)
-        n_noise = int(round(
-            n_identity_items * config.noise_fraction / max(1e-9, 1.0 - config.noise_fraction)
-        ))
-        for _ in range(n_noise):
-            raw = config.noise_pull * pose + config.noise_spread * rng.normal(
-                size=config.dim
-            ) / np.sqrt(config.dim)
-            add(raw, NOISE, config.q_noise)
+            n_profile = int(round(count * config.profile_fraction / identity_share))
+            profile = (1.0 - config.profile_pull) * center + config.profile_pull * pose
+            add(profile, config.profile_spread, config.q_profile, n_profile, label)
+            add(center, config.frontal_spread, config.q_frontal, count - n_profile, label)
+        n_noise = int(round(len(items) * config.noise_fraction / identity_share))
+        add(config.noise_pull * pose, config.noise_spread, config.q_noise, n_noise, NOISE)
         albums.append(Album(album_id=album_id, items=tuple(items)))
     return albums
 
@@ -255,24 +237,34 @@ def render_table(report: dict) -> str:
 # File formats
 
 
+def write_records(path: str, records: Iterable[dict]) -> None:
+    """A JSON Lines file: each record with sorted keys on its own line."""
+    with open(path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def write_json(path: str, doc: dict, indent: int | None = None) -> None:
+    """A one-document JSON file with sorted keys and a final newline; the
+    document streams to the file, so no copy of it is built as text."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
+
+
 def save_dataset(albums: list[Album], path: str) -> None:
     """One JSON record per item, albums in order, full float precision."""
-    with open(path, "w") as fh:
-        for album in albums:
-            for item in album.items:
-                fh.write(
-                    json.dumps(
-                        {
-                            "album_id": album.album_id,
-                            "item_id": item.item_id,
-                            "embedding": item.embedding.tolist(),
-                            "quality": item.quality,
-                            "label": item.label,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+    write_records(path, (
+        {
+            "album_id": album.album_id,
+            "item_id": item.item_id,
+            "embedding": item.embedding.tolist(),
+            "quality": item.quality,
+            "label": item.label,
+        }
+        for album in albums
+        for item in album.items
+    ))
 
 
 def json_object(text: str, where: str) -> dict:
@@ -339,9 +331,7 @@ def save_model(model: Policy, config: PolicyConfig, path: str) -> None:
         raise ValueError(f"cannot serialize model of type {type(model)!r}")
     doc = {"schema": SCHEMA_VERSION, "kind": kind, **model.to_dict()}
     doc["policy_config"] = config_dict(config)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path: str) -> tuple[Policy, PolicyConfig]:
@@ -363,17 +353,17 @@ def load_model(path: str) -> tuple[Policy, PolicyConfig]:
 
 
 def save_partitions(entries: list[tuple[Album, Partition]], path: str) -> None:
-    """One record per album: its groups as lists of item ids."""
-    with open(path, "w") as fh:
-        for album, partition in entries:
-            groups = [
+    """One record per album: its groups as sorted lists of item ids, in order."""
+    write_records(path, (
+        {
+            "album_id": album.album_id,
+            "groups": sorted(
                 sorted(album.items[i].item_id for i in members)
                 for _, members in partition.groups
-            ]
-            groups.sort()
-            fh.write(
-                json.dumps({"album_id": album.album_id, "groups": groups}, sort_keys=True) + "\n"
-            )
+            ),
+        }
+        for album, partition in entries
+    ))
 
 
 def load_partitions(albums: list[Album], path: str) -> dict[str, Partition]:
@@ -401,26 +391,17 @@ def load_partitions(albums: list[Album], path: str) -> dict[str, Partition]:
 
 
 def export_trace(traces: list[EpisodeTrace], path: str) -> None:
-    """One JSON record per decision step across all episodes. Inference has
-    no long-term reward and executes its own prediction; the keys stay."""
-    with open(path, "w") as fh:
-        for trace in traces:
-            for step in trace.steps:
-                fh.write(
-                    json.dumps(
-                        {
-                            "album_id": trace.album_id,
-                            "step": step.step,
-                            "candidate": list(step.candidate),
-                            "action": step.action.value,
-                            "predicted": step.action.value,
-                            "phi": [float(v) for v in step.phi],
-                            "r_short": step.r_short,
-                            "r_long": 0.0,
-                            "r_total": step.r_short,
-                            "elapsed": step.elapsed,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+    """One JSON record per decision step across all episodes."""
+    write_records(path, (
+        {
+            "album_id": trace.album_id,
+            "step": step.step,
+            "candidate": list(step.candidate),
+            "action": step.action.value,
+            "phi": [float(v) for v in step.phi],
+            "r_short": step.r_short,
+            "elapsed": step.elapsed,
+        }
+        for trace in traces
+        for step in trace.steps
+    ))

@@ -17,13 +17,13 @@ categories.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 
 from . import bench, train as train_mod
 from .core import SchemaError, config_dict, config_from_dict
 from .engine import PolicyConfig
+from .features import feature_dim
 from .learn import ForestHyper, ForestModel, SvmHyper, SvmModel
 from .recommend import Strategy
 
@@ -51,16 +51,14 @@ def _config(doc: dict, section: str, cls, **flags):
     return config_from_dict(cls, values)
 
 
-def _policy_config(doc: dict, args) -> PolicyConfig:
-    costs = args.costs and [float(c) for c in args.costs.split(",")]
-    return _config(doc, "policy", PolicyConfig, costs=costs, tau=args.tau,
-                   strategy=args.strategy)
+def _policy_config(doc: dict, costs: str | None, **flags) -> PolicyConfig:
+    """The "policy" section with ``--costs`` (comma-separated) and ``flags`` over it."""
+    costs = costs and [float(c) for c in costs.split(",")]
+    return _config(doc, "policy", PolicyConfig, costs=costs, **flags)
 
 
 def _write_sidecar(path: str, payload: dict) -> None:
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    bench.write_json(path + ".meta.json", payload, indent=2)
 
 
 def cmd_simulate(args) -> int:
@@ -75,7 +73,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     doc = _load_config_file(args.config)
-    policy_cfg = _policy_config(doc, args)
+    policy_cfg = _policy_config(doc, args.costs, tau=args.tau, strategy=args.strategy)
     svm_hyper = _config(doc, "svm", SvmHyper)
     forest_hyper = _config(doc, "forest", ForestHyper, seed=args.seed)
     train_cfg = _config(doc, "train", train_mod.TrainConfig, seed=args.seed,
@@ -94,8 +92,6 @@ def cmd_train(args) -> int:
             mistakes_per_epoch=result.mistakes_per_epoch,
             mistake_set_size=result.mistake_set_size,
         )
-        if not result.converged:
-            logger.warning("IRL stage stopped before zero mistakes")
         if args.stage == "irl":
             bench.save_model(svm, policy_cfg, args.out_model)
             _write_sidecar(args.out_model, meta)
@@ -140,8 +136,6 @@ def cmd_group(args) -> int:
 
 
 def _check_dim(model, albums, policy_cfg) -> None:
-    from .features import feature_dim
-
     expected = feature_dim(policy_cfg.eta)
     if isinstance(model, ForestModel):
         expected += 1
@@ -158,9 +152,11 @@ def cmd_eval(args) -> int:
     albums = bench.load_dataset(args.data, normalize=args.normalize)
     if (args.partitions is None) == (args.model is None):
         raise CliError("invalid-argument", "provide exactly one of --partitions or --model")
+    if args.model and (args.config is not None or args.costs is not None):
+        raise CliError("invalid-argument", "--config and --costs apply to --partitions only")
     if args.partitions:
         partitions = bench.load_partitions(albums, args.partitions)
-        policy_cfg = _policy_config(_load_config_file(args.config), args)
+        policy_cfg = _policy_config(_load_config_file(args.config), args.costs)
         report = bench.evaluate(albums, None, policy_cfg, partitions=partitions)
     else:
         model, policy_cfg = bench.load_model(args.model)
@@ -180,9 +176,7 @@ def cmd_eval(args) -> int:
             {"name": name, **bench.evaluate(albums, policy, policy_cfg, jobs=args.jobs)["macro"]}
             for name, policy in policies.items()
         ]
-    with open(args.report, "w") as fh:
-        json.dump(report, fh, sort_keys=True)
-        fh.write("\n")
+    bench.write_json(args.report, report)
     print(bench.render_table(report))
     return 0
 
@@ -233,10 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost-sweep", action="append", metavar="NAME=MODEL",
                    help="extra models (e.g. trained under other cost distributions) "
                         "for a precision/recall sweep (repeatable)")
-    p.add_argument("--config", help="JSON config file (used with --partitions)")
-    p.add_argument("--costs", help="operation costs for scoring")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--strategy", choices=[s.value for s in Strategy])
+    p.add_argument("--config", help="JSON config file (--partitions only)")
+    p.add_argument("--costs", help="operation costs for scoring (--partitions only)")
     p.add_argument("--jobs", type=int, default=1, help="album-level parallelism")
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=cmd_eval)

@@ -300,7 +300,7 @@ def ground_truth_partition(album: Album) -> Partition:
             noise.append(idx)
         else:
             by_label.setdefault(item.label, []).append(idx)
-    member_sets = sorted(by_label.values(), key=min)
+    member_sets = list(by_label.values())
     member_sets.extend([i] for i in noise)
     member_sets.sort(key=min)
     return Partition.from_groups(member_sets)

@@ -62,9 +62,6 @@ class OpResult:
         c = self.costs
         return c.c_add * self.n_adds + c.c_remove * self.n_removes + c.c_merge * self.n_merges
 
-    def counts(self) -> tuple[int, int, int]:
-        return (self.n_adds, self.n_removes, self.n_merges)
-
     def merged(self, a: frozenset[int], b: frozenset[int]) -> OpResult:
         """The plan with the hypothesis groups ``a`` and ``b`` merged; this
         plan is left as it was."""

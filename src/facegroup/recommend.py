@@ -56,9 +56,9 @@ class PairQueue:
     heap of ``(distance, gid_a, gid_b, row)``, gid_a < gid_b, and drops entries of
     retired ids lazily, or all at once when the heap outgrows twice the
     pairs of live groups. RANDOM moves them, at its first draw, to
-    ``order``: an (n, 2) array of the pairs in (gid_a, gid_b) order, with
-    their rows in the array ``order_rows``. A pair handed out leaves the
-    queue. A queue follows one episode forward; it rejects a partition
+    ``order``: an (n, 3) array of ``(gid_a, gid_b, row)``, the heap entries
+    without their distances, in (gid_a, gid_b) order. A pair handed out
+    leaves the queue. A queue follows one episode forward; it rejects a partition
     that does not descend from the last one it saw.
     """
 
@@ -78,7 +78,6 @@ class PairQueue:
         self.start_items = np.empty(0, dtype=np.intp)  # the item of each slot of the start
         self.handed: tuple[int, int, int] | None = None  # (gid_a, gid_b, row)
         self.order: np.ndarray | None = None
-        self.order_rows = np.empty(0, dtype=np.int64)
 
     def sync(self, partition: Partition) -> None:
         """Retire the groups gone from ``partition`` and add its new ones."""
@@ -140,8 +139,8 @@ class PairQueue:
             self.free.append(slot)
             self.kept.pop(gid, None)
         if retired and self.order is not None:
-            live = ~np.isin(self.order, list(retired)).any(axis=1)
-            self.order, self.order_rows = self.order[live], self.order_rows[live]
+            live = ~np.isin(self.order[:, :2], list(retired)).any(axis=1)
+            self.order = self.order[live]
         for gid, idx in new.items():
             slot = self.free.pop()
             self.slot[gid] = slot
@@ -167,10 +166,9 @@ class PairQueue:
                 # every held pair's gid_b is older than gid, so (h, gid)
                 # goes right after the pairs (h, .)
                 rows = partners.argsort()
-                pairs = np.column_stack([partners[rows], np.full(rows.size, gid)])
+                pairs = np.column_stack([partners[rows], np.full(rows.size, gid), rows])
                 at = np.searchsorted(self.order[:, 0], pairs[:, 0], side="right")
                 self.order = np.insert(self.order, at, pairs, axis=0)
-                self.order_rows = np.insert(self.order_rows, at, rows)
         if len(self.heap) > len(self.slot) * (len(self.slot) - 1):
             self._rebuild()
 
@@ -225,9 +223,8 @@ class PairQueue:
         if self.order is None:
             live = [(a, b, row) for _, a, b, row in self.heap
                     if a in self.slot and b in self.slot]
-            entries = np.array(sorted(live), dtype=np.int64).reshape(-1, 3)
+            self.order = np.array(sorted(live), dtype=np.int64).reshape(-1, 3)
             self.heap = []
-            self.order, self.order_rows = entries[:, :2].copy(), entries[:, 2].copy()
         return self.order
 
     def draw(self, state: State, rng: np.random.Generator | None) -> tuple[int, int] | None:
@@ -239,11 +236,9 @@ class PairQueue:
         if rng is None:
             raise ValueError("random strategy requires a seeded generator")
         at = int(rng.integers(len(pairs)))
-        gid_a, gid_b = pairs[at].tolist()
-        self.handed = (gid_a, gid_b, self.order_rows.item(at))
+        self.handed = tuple(pairs[at].tolist())
         self.order = np.delete(pairs, at, axis=0)
-        self.order_rows = np.delete(self.order_rows, at)
-        return gid_a, gid_b
+        return self.handed[:2]
 
 
 def recommend(

@@ -28,6 +28,10 @@ episode with a ground truth carries from step to step.
 experience; it audits ``train.q_train``'s replay memory of rows.
 ``symmetric_distances_reference`` mirrors the distance matrix through
 whole-matrix triangle indices; it audits ``AlbumContext``.
+``simulate_reference`` builds each simulated item from its own generator
+calls (the embedding's jitter, then the quality) and normalises it alone;
+it audits ``bench.simulate``, which draws and normalises a block of items
+at once.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from facegroup import learn, train
-from facegroup.core import Action, CostModel, Partition, State
+from facegroup.bench import SimConfig
+from facegroup.core import NOISE, Action, Album, CostModel, FaceItem, Partition, State
 from facegroup.engine import Step, action_flag, album_rng, episode, reward_short, reward_total
 from facegroup.features import AlbumContext, feature_dim
 from facegroup.learn import ForestHyper, ForestModel, SvmHyper, SvmModel
@@ -498,3 +503,57 @@ def symmetric_distances_reference(X: np.ndarray) -> np.ndarray:
     lower = np.tril_indices(len(D), -1)
     D[lower] = D.T[lower]
     return D
+
+
+def simulate_reference(config: SimConfig) -> list[Album]:
+    """``bench.simulate`` one item at a time: each item draws its jitter and
+    then its quality, and its embedding is normalised on its own."""
+
+    def unit(v: np.ndarray) -> np.ndarray:
+        return v / np.linalg.norm(v)
+
+    seeds = np.random.SeedSequence(config.seed).spawn(config.n_albums)
+    albums = []
+    for a_idx, seq in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seq))
+        album_id = f"album{a_idx:03d}"
+        pose = unit(rng.normal(size=config.dim))
+        basis, _ = np.linalg.qr(rng.normal(size=(config.dim, config.dim)))
+        items: list[FaceItem] = []
+
+        def add(raw: np.ndarray, label: str, q_mean: float) -> None:
+            quality = float(np.clip(rng.normal(q_mean, config.q_jitter), 0.0, 1.0))
+            items.append(FaceItem(f"{album_id}_i{len(items):04d}", unit(raw), quality, label))
+
+        n_identities = int(rng.integers(config.identities[0], config.identities[1] + 1))
+        for ident in range(n_identities):
+            label = f"{album_id}_id{ident:02d}"
+            center = basis[:, ident]
+            count = int(
+                rng.integers(config.items_per_identity[0], config.items_per_identity[1] + 1)
+            )
+            denom = max(1e-9, 1.0 - config.noise_fraction)
+            n_profile = int(round(count * config.profile_fraction / denom))
+            for k in range(count):
+                if k < n_profile:
+                    raw = (
+                        (1.0 - config.profile_pull) * center
+                        + config.profile_pull * pose
+                        + config.profile_spread * rng.normal(size=config.dim) / np.sqrt(config.dim)
+                    )
+                    add(raw, label, config.q_profile)
+                else:
+                    raw = center + config.frontal_spread * rng.normal(size=config.dim) / np.sqrt(
+                        config.dim
+                    )
+                    add(raw, label, config.q_frontal)
+        n_noise = int(round(
+            len(items) * config.noise_fraction / max(1e-9, 1.0 - config.noise_fraction)
+        ))
+        for _ in range(n_noise):
+            raw = config.noise_pull * pose + config.noise_spread * rng.normal(
+                size=config.dim
+            ) / np.sqrt(config.dim)
+            add(raw, NOISE, config.q_noise)
+        albums.append(Album(album_id=album_id, items=tuple(items)))
+    return albums

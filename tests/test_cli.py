@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from facegroup.cli import main
+from facegroup.engine import PolicyConfig
 
 
 def run(argv):
@@ -36,6 +41,7 @@ def test_full_pipeline(tmp_path, small_config, capsys):
     model = str(tmp_path / "model.json")
     parts = str(tmp_path / "parts.jsonl")
     report = str(tmp_path / "report.json")
+    trace = str(tmp_path / "trace.jsonl")
 
     assert run(["simulate", "--config", small_config, "--out", data]) == 0
     assert (tmp_path / "data.jsonl.meta.json").exists()
@@ -46,13 +52,30 @@ def test_full_pipeline(tmp_path, small_config, capsys):
     ) == 0
     assert (tmp_path / "model.json.svm.json").exists()
 
-    assert run(["group", "--data", data, "--model", model, "--out-partitions", parts]) == 0
+    assert run(["group", "--data", data, "--model", model, "--out-partitions", parts,
+                "--trace", trace]) == 0
     assert run(["eval", "--data", data, "--partitions", parts, "--report", report,
                 "--config", small_config]) == 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["macro"]["f1"] > 0.8
     out = capsys.readouterr().out
     assert "macro" in out
+
+    # the byte layout of the files no golden hash covers: a trace line is
+    # its record with sorted keys and a newline, with no blank line between;
+    # a sidecar is its document with sorted keys, indented by 2, and a newline
+    lines = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
+    assert lines
+    for line in lines:
+        assert line.endswith("\n") and line.strip()
+        assert line[:-1] == json.dumps(json.loads(line), sort_keys=True)
+    sidecars = sorted(tmp_path.glob("*.meta.json"))
+    assert [p.name for p in sidecars] == [
+        "data.jsonl.meta.json", "model.json.meta.json", "parts.jsonl.meta.json"
+    ]
+    for sidecar in sidecars:
+        text = sidecar.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_eval_on_ground_truth_partitions_is_perfect(tmp_path, small_config):
@@ -512,6 +535,27 @@ def test_train_sidecar_records_how_training_ended(tmp_path, small_config):
     assert (tmp_path / "irl.json").read_bytes() == (tmp_path / "both.json.svm.json").read_bytes()
 
 
+def test_unconverged_training_warns_once(tmp_path, small_config):
+    """One epoch is too few to converge on this data: stderr holds one warning."""
+    import facegroup
+
+    cfg = json.loads(Path(small_config).read_text())
+    cfg["sim"] = {"n_albums": 2, "seed": 31}
+    cfg["train"]["max_epochs"] = 1
+    config = tmp_path / "one-epoch.json"
+    config.write_text(json.dumps(cfg))
+    data = str(tmp_path / "data.jsonl")
+    run(["simulate", "--config", str(config), "--out", data])
+    src = str(Path(facegroup.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "facegroup.cli", "train", "--data", data, "--stage", "irl",
+         "--out-model", str(tmp_path / "m.json"), "--config", str(config)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stderr.splitlines()] == ["WARNING"], proc.stderr
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -560,20 +604,37 @@ def test_config_value_out_of_range(tmp_path, small_config, capsys, section, key,
     assert len(err) == 1 and err[0].startswith("error:invalid-argument:"), err
 
 
+EVAL_FLAGS_OUT_OF_RANGE = [("--costs", "nan,6,1"), ("--costs", "1,inf,1"), ("--jobs", "0")]
+
+
 @pytest.mark.parametrize(
-    "flag, value", [("--costs", "nan,6,1"), ("--costs", "1,inf,1"), ("--jobs", "0")]
+    "source, flag, value",
+    [pytest.param("--partitions", f, v, id=f"{f}-{v}") for f, v in EVAL_FLAGS_OUT_OF_RANGE]
+    + [
+        pytest.param("--model", f, v, id=f"model{f}-{v}")
+        for f, v in [*EVAL_FLAGS_OUT_OF_RANGE, ("--costs", "1,6,1"), ("--config", "absent.json")]
+    ],
 )
-def test_eval_flag_out_of_range(tmp_path, small_config, capsys, flag, value):
-    # a non-finite cost would score every album as nan or inf; no jobs is not serial
-    from facegroup.bench import load_dataset, save_partitions
+def test_eval_flag_out_of_range(tmp_path, small_config, capsys, source, flag, value):
+    # a non-finite cost would score every album as nan or inf; no jobs is not
+    # serial; with --model the model file's config scores and groups, so a
+    # scoring config or costs would be ignored
+    from facegroup.bench import load_dataset, save_model, save_partitions
     from facegroup.core import ground_truth_partition
+    from facegroup.features import feature_dim
+    from facegroup.learn import constant_svm
 
     data = str(tmp_path / "data.jsonl")
     run(["simulate", "--config", small_config, "--out", data])
-    parts = str(tmp_path / "gt.jsonl")
-    save_partitions([(a, ground_truth_partition(a)) for a in load_dataset(data)], parts)
+    path = str(tmp_path / "source")
+    if source == "--partitions":
+        save_partitions([(a, ground_truth_partition(a)) for a in load_dataset(data)], path)
+    else:
+        save_model(constant_svm(feature_dim(PolicyConfig().eta), 1.0), PolicyConfig(), path)
+    if flag == "--config":
+        value = str(tmp_path / value)  # a path that does not exist
     capsys.readouterr()
-    assert run(["eval", "--data", data, "--partitions", parts,
+    assert run(["eval", "--data", data, source, path,
                 "--report", str(tmp_path / "r.json"), flag, value]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:invalid-argument:"), err

@@ -80,7 +80,7 @@ def held_pairs(queue, live):
     if queue.order is None:
         entries = [(a, b, d, row) for d, a, b, row in queue.heap]
     else:
-        entries = [(a, b, None, row) for (a, b), row in zip(queue.order, queue.order_rows)]
+        entries = [(a, b, None, row) for a, b, row in queue.order.tolist()]
     return {
         (a, b): (d, queue.held_blocks(a, b, row))
         for a, b, d, row in entries
